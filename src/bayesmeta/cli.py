@@ -41,7 +41,7 @@ from .linear_oracle import nrmse, oracle_meta_gradient
 from .meta_driver import (BlobTaskSpec, MetaConfig, TaskGenSpec,
                           checkpoint_from_json, checkpoint_to_json,
                           generate_blob_tasks, generate_linear_tasks,
-                          meta_step, sample_batch)
+                          imaml_prior, meta_step, sample_batch)
 from .meta_loss import MetaLossSpec
 from .models import LinearGaussianModel, MLPModel
 from .vi_core import PriorParams, derive_seed, standard_normal
@@ -312,7 +312,6 @@ def _train_setup(cfg: Dict[str, Any], seed: int):
         imaml_lambda=cfg["imaml_lambda"],
     )
     if meta_cfg.method == "imaml_mode":
-        from .meta_driver import imaml_prior
         prior = imaml_prior(prior.dim, prior.mean, cfg["imaml_lambda"])
     return oracle, tasks, prior, meta_cfg
 
@@ -327,6 +326,10 @@ def cmd_train(cfg: Dict[str, Any], out_dir: Path, seeds: List[int],
     if cfg["resume"] and ckpt_path.exists():
         prior, start_iter, hvp_total = checkpoint_from_json(
             ckpt_path.read_text())
+        if start_iter >= meta_cfg.iterations:
+            # already trained this far: rewriting would rewind the counter
+            # while keeping the later prior
+            return [p for p in (loss_path, ckpt_path) if p.exists()]
     rows = []
     for r in range(start_iter, meta_cfg.iterations):
         batch = sample_batch(len(tasks), meta_cfg.batch_size, meta_cfg.seed, r)

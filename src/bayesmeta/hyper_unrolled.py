@@ -15,17 +15,13 @@ from typing import Optional
 
 import numpy as np
 
-from .inner_opt import InnerConfig, InnerTrace, run_inner_gd
+from .inner_opt import (InnerConfig, InnerTrace, inner_objective_grad,
+                        run_inner_gd)
 from .meta_loss import MetaGradient, MetaLossSpec, meta_loss_grads, meta_loss_value
 from .models import GradientOracle, TaskData
 from .vi_core import PriorParams, TangentVector, VariationalParams
 
 FD_EPS_DEFAULT = 1e-5
-
-
-def _phi_grad_raw(oracle, data, v, prior, kl_weight, mc_budget, seed):
-    from .inner_opt import inner_objective_grad
-    return inner_objective_grad(oracle, data, v, prior, kl_weight, mc_budget, seed)
 
 
 def unrolled_meta_gradient(oracle: GradientOracle, data: TaskData,
@@ -80,8 +76,8 @@ def unrolled_meta_gradient(oracle: GradientOracle, data: TaskData,
         if w_kl != 0.0:
             h_m = h_m + w_kl * a_m / d_prior
             h_d = h_d + w_kl * a_l / (2.0 * d_k)
-        g_raw = _phi_grad_raw(oracle, data, v_k, prior, w_kl, cfg.mc_budget,
-                              step_seed)
+        g_raw = inner_objective_grad(oracle, data, v_k, prior, w_kl,
+                                     cfg.mc_budget, step_seed)
         h_l = d_k * h_d + d_k * g_raw.wrt_var * a_l
 
         a_m = a_m - alpha * h_m

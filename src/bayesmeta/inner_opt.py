@@ -15,7 +15,7 @@ import numpy as np
 
 from .models import GradientOracle, TaskData
 from .vi_core import (PriorParams, TangentVector, VariationalParams,
-                      derive_seed, kl_grad, raw_to_log_grad)
+                      derive_seed, kl_diag_gaussian, kl_grad, raw_to_log_grad)
 
 DIVERGENCE_LIMIT = 1e12
 LOG_VAR_LIMIT = 700.0  # beyond this exp() under/overflows at float64
@@ -69,7 +69,6 @@ def inner_objective_grad(oracle: GradientOracle, data: TaskData,
 def inner_objective_value(oracle: GradientOracle, data: TaskData,
                           v: VariationalParams, prior: PriorParams,
                           kl_weight: float, mc_budget, seed) -> float:
-    from .vi_core import kl_diag_gaussian
     val = oracle.expected_nll(v, data, "train", mc_budget, seed)
     if kl_weight != 0.0:
         val += kl_weight * kl_diag_gaussian(v, prior)

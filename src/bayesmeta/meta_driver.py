@@ -9,7 +9,7 @@ prior, averaging per-task meta-gradients over the batch. Methods: "implicit"
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -164,7 +164,6 @@ def task_meta_gradient(oracle: GradientOracle, data: TaskData,
     freeze = method == "imaml_mode"
     inner = cfg.inner
     if record and not inner.record_trace:
-        from dataclasses import replace
         inner = replace(inner, record_trace=True)
     v_hat, trace = run_inner_gd(oracle, data, prior, inner, seed,
                                 freeze_log_var=freeze)

@@ -190,10 +190,10 @@ class MLPModel(GradientOracle):
         for backprop.
         """
         layers = self._unpack(params)
-        acts = [np.broadcast_to(x, (params.shape[0],) + x.shape)]
-        h = acts[0]
+        acts = [x]  # matmul broadcasts the (w_in, N) inputs over samples
+        h = x
         for li, (w, b) in enumerate(layers):
-            z = np.einsum("soi,sin->son", w, h) + b[:, :, None]
+            z = w @ h + b[:, :, None]
             h = np.tanh(z) if li < len(layers) - 1 else z
             acts.append(h)
         return h, acts, layers
@@ -225,11 +225,11 @@ class MLPModel(GradientOracle):
         for li in range(n_layers - 1, -1, -1):
             w, _ = layers[li]
             h_in = acts[li]
-            gw = np.einsum("son,sin->soi", delta, h_in)
+            gw = delta @ h_in.swapaxes(-1, -2)
             gb = delta.sum(axis=2)
             grads[li] = (gw, gb)
             if li > 0:
-                delta = np.einsum("soi,son->sin", w, delta)
+                delta = w.swapaxes(-1, -2) @ delta
                 delta = delta * (1.0 - acts[li] ** 2)
         flat = [np.concatenate([gw.reshape(gw.shape[0], -1), gb], axis=1)
                 for gw, gb in grads]

@@ -6,11 +6,13 @@ everywhere; raw variances are materialized on demand via ``.var``.
 
 Sampling uses numpy's Philox counter-based generator keyed directly by the
 caller's seed, so identical seeds give bitwise-identical draws and streams
-can be split by deriving child seeds with :func:`derive_seed`.
+can be split by deriving child seeds with :func:`derive_seed`. Each thread
+rekeys one generator per call rather than building a new one.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -176,9 +178,31 @@ def derive_seed(seed: int, *path: int) -> int:
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
+_thread_local = threading.local()
+
+
 def standard_normal(shape, seed: int) -> np.ndarray:
-    """Seeded standard-normal draws from a Philox counter-based generator."""
-    gen = np.random.Generator(np.random.Philox(key=int(seed) & (2 ** 64 - 1)))
+    """Seeded standard-normal draws from a Philox counter-based generator.
+
+    Each thread keeps one generator and rekeys it on every call: key
+    ``[seed mod 2**64, 0]``, counter zero, empty buffer. That is the exact
+    state of ``Philox(key=seed)``, so the draws are bitwise those of a freshly
+    keyed generator, without building one (and its unused OS-entropy seed
+    sequence) per call.
+    """
+    gen = getattr(_thread_local, "gen", None)
+    if gen is None:
+        gen = _thread_local.gen = np.random.Generator(np.random.Philox(key=0))
+    gen.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": np.zeros(4, dtype=np.uint64),
+                  "key": np.array([int(seed) & (2 ** 64 - 1), 0],
+                                  dtype=np.uint64)},
+        "buffer": np.zeros(4, dtype=np.uint64),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
     return gen.standard_normal(shape)
 
 

@@ -187,17 +187,29 @@ def test_criterion_6_backward_time_scaling():
         v_hats[k], traces[k] = run_inner_gd(
             model, data, prior, InnerConfig(steps=k, lr=0.01,
                                             record_trace=True))
-    t_unrolled, t_implicit = [], []
     # rel_tol=0 pins the solver at exactly max_iters iterations for every K,
     # so only genuine K-dependence (none) can move its wall time
     cg = CgConfig(max_iters=5, rel_tol=0.0)
-    for k in ks:
-        t_unrolled.append(min(timeit.repeat(
-            lambda: unrolled_meta_gradient(model, data, traces[k], prior,
-                                           spec), repeat=5, number=3)) / 3)
-        t_implicit.append(min(timeit.repeat(
+    # Both paths are timed round-robin over K, so the machine's speed swings
+    # fall on every K alike instead of on whichever K was timed during them.
+    best_unrolled = {k: np.inf for k in ks}
+    for _ in range(5):
+        for k in ks:
+            best_unrolled[k] = min(best_unrolled[k], timeit.timeit(
+                lambda: unrolled_meta_gradient(model, data, traces[k], prior,
+                                               spec), number=3) / 3)
+    t_unrolled = [best_unrolled[k] for k in ks]
+    # The flat path runs 36 short rounds (5 calls per K, 180 in all) and takes
+    # each K's time relative to the median of its own round. The machine can
+    # run at half speed for seconds with fast spells of a few ms, so a per-K
+    # minimum would compare a K timed in such a spell with one that missed it.
+    rel = np.empty((36, len(ks)))
+    for r in range(36):
+        times = np.array([timeit.timeit(
             lambda: implicit_meta_gradient(model, data, v_hats[k], prior,
-                                           spec, cg), repeat=9, number=20)) / 20)
+                                           spec, cg), number=5) for k in ks])
+        rel[r] = times / np.median(times)
+    t_implicit = np.median(rel, axis=0)
     slope, intercept = np.polyfit(ks, t_unrolled, 1)
     fit = slope * np.array(ks) + intercept
     ss_res = np.sum((np.array(t_unrolled) - fit) ** 2)

@@ -127,6 +127,20 @@ class TestTrain:
         assert (tmp_path / "full/loss.csv").read_bytes() == \
             (tmp_path / "split/loss.csv").read_bytes()
 
+    def test_resume_with_fewer_iterations_leaves_outputs(self, tmp_path):
+        common = ["--out", str(tmp_path), "--set", "n_tasks=4",
+                  "--set", "batch_size=2"]
+        main(["train", "--set", "iterations=4"] + common)
+        ckpt = (tmp_path / "checkpoint.json").read_bytes()
+        loss = (tmp_path / "loss.csv").read_bytes()
+        assert main(["train", "--set", "iterations=2"] + common) == 0
+        assert (tmp_path / "checkpoint.json").read_bytes() == ckpt
+        assert (tmp_path / "loss.csv").read_bytes() == loss
+        assert main(["train", "--set", "iterations=4"] + common) == 0
+        assert (tmp_path / "checkpoint.json").read_bytes() == ckpt
+        rows = read_csv(tmp_path / "loss.csv")
+        assert [r[0] for r in rows[1:]] == ["0", "1", "2", "3"]
+
     def test_blob_dataset_runs(self, tmp_path):
         rc = main(["train", "--out", str(tmp_path), "--set", "dataset=blob",
                    "--set", "iterations=2", "--set", "n_tasks=4",

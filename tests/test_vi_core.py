@@ -1,6 +1,10 @@
 """Distribution-layer tests: KL values against quadrature, gradients against
 finite differences, sampling determinism and moments."""
 
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -144,6 +148,39 @@ class TestSampling:
         assert derive_seed(1, 2, 3) == derive_seed(1, 2, 3)
         assert derive_seed(1, 2, 3) != derive_seed(1, 3, 2)
         assert standard_normal(4, derive_seed(0, 1)).shape == (4,)
+
+    @pytest.mark.parametrize("seed", [0, 2 ** 63 + 5, -1])
+    @pytest.mark.parametrize("shape", [(), (0,), (1,), (5, 7), (8, 133)])
+    def test_rekeyed_draws_equal_fresh_generator(self, shape, seed):
+        fresh = np.random.Generator(
+            np.random.Philox(key=seed & (2 ** 64 - 1))).standard_normal(shape)
+        draws = standard_normal(shape, seed)
+        assert draws.shape == fresh.shape
+        assert draws.tobytes() == fresh.tobytes()
+
+    def test_concurrent_draws_equal_serial(self):
+        seeds = [derive_seed(3, i) for i in range(64)]
+        serial = [standard_normal((8, 133), s) for s in seeds]
+        barrier = threading.Barrier(4)
+
+        def draw_all(offset):
+            barrier.wait(timeout=10)
+            order = (seeds[offset:] + seeds[:offset]) * 5
+            return [(s, standard_normal((8, 133), s)) for s in order]
+
+        old_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                results = [f.result(timeout=60) for f in
+                           [pool.submit(draw_all, 16 * t) for t in range(4)]]
+        finally:
+            sys.setswitchinterval(old_interval)
+        expected = {s: draws.tobytes() for s, draws in zip(seeds, serial)}
+        for res in results:
+            assert len(res) == 5 * len(seeds)
+            for s, draws in res:
+                assert draws.tobytes() == expected[s]
 
 
 class TestLogCoordinates:
