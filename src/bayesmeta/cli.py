@@ -47,13 +47,30 @@ from .models import LinearGaussianModel, MLPModel
 from .vi_core import PriorParams, derive_seed, standard_normal
 from .verify import run_all_checks
 
-SWEEP_DEFAULTS: Dict[str, Any] = {
+# linear-regression task generation (nrmse-sweep, bench, train)
+LINEAR_TASK_DEFAULTS: Dict[str, Any] = {
     "dim": 32,
     "noise_sigma": 0.01,
     "cond_kappa": 20.0,
     "n_tr": 32,
     "n_val": 64,
     "design_scale": 0.018,
+}
+
+# Gaussian-blob task generation, the network and its prior (train, calibration)
+BLOB_TASK_DEFAULTS: Dict[str, Any] = {
+    "hidden": 32,
+    "n_classes": 5,
+    "input_dim": 2,
+    "shots_tr": 5,
+    "shots_val": 10,
+    "class_spread": 2.0,
+    "blob_sigma": 0.5,
+    "prior_init_var": 0.1,
+}
+
+SWEEP_DEFAULTS: Dict[str, Any] = {
+    **LINEAR_TASK_DEFAULTS,
     "inner_lr": 0.01,
     "mc_budget": 64,
     "k_list": [1, 2, 5, 10, 20, 50, 100, 200, 500, 1000],
@@ -63,12 +80,7 @@ SWEEP_DEFAULTS: Dict[str, Any] = {
 }
 
 BENCH_DEFAULTS: Dict[str, Any] = {
-    "dim": 32,
-    "noise_sigma": 0.01,
-    "cond_kappa": 20.0,
-    "n_tr": 32,
-    "n_val": 64,
-    "design_scale": 0.018,
+    **LINEAR_TASK_DEFAULTS,
     "inner_lr": 0.01,
     "cg_iters": 5,
     "cg_rel_tol": 1e-10,
@@ -90,25 +102,11 @@ TRAIN_DEFAULTS: Dict[str, Any] = {
     # nonconvex network, whose Hessian is indefinite away from the optimum)
     "cg_abort_negative": False,
     "mc_budget": 64,
-    "imaml_lambda": 1.0,
+    "imaml_lambda": 1.0,  # prior precision in imaml_mode
     "resume": True,
-    # linear task generation
-    "dim": 32,
-    "noise_sigma": 0.01,
-    "cond_kappa": 20.0,
-    "n_tr": 32,
-    "n_val": 64,
     "n_tasks": 20,
-    "design_scale": 0.018,
-    # blob task generation / network
-    "hidden": 32,
-    "n_classes": 5,
-    "input_dim": 2,
-    "shots_tr": 5,
-    "shots_val": 10,
-    "class_spread": 2.0,
-    "blob_sigma": 0.5,
-    "prior_init_var": 0.1,
+    **LINEAR_TASK_DEFAULTS,
+    **BLOB_TASK_DEFAULTS,
 }
 
 CALIBRATION_DEFAULTS: Dict[str, Any] = {
@@ -118,14 +116,7 @@ CALIBRATION_DEFAULTS: Dict[str, Any] = {
     "inner_lr": 0.01,
     "n_bins": 10,
     "checkpoint": "",  # optional path to a train checkpoint
-    "hidden": 32,
-    "n_classes": 5,
-    "input_dim": 2,
-    "shots_tr": 5,
-    "shots_val": 10,
-    "class_spread": 2.0,
-    "blob_sigma": 0.5,
-    "prior_init_var": 0.1,
+    **BLOB_TASK_DEFAULTS,
 }
 
 VERIFY_DEFAULTS: Dict[str, Any] = {}
@@ -140,33 +131,50 @@ def _parse_seeds(text: str) -> List[int]:
 
 def _write_csv(path: Path, header: List[str], rows: List[List[Any]],
                append: bool = False) -> None:
-    mode = "a" if append and path.exists() else "w"
-    with path.open(mode, newline="") as fh:
+    with path.open("a" if append else "w", newline="") as fh:
         w = csv.writer(fh)
-        if mode == "w":
+        if not append:
             w.writerow(header)
         w.writerows(rows)
+
+
+def _linear_setup(cfg: Dict[str, Any], seed: int, n_tasks: int):
+    """Linear tasks, their closed-form model and the starting prior."""
+    p = cfg["dim"]
+    spec = TaskGenSpec(dim=p, noise_sigma=cfg["noise_sigma"],
+                       cond_kappa=cfg["cond_kappa"], n_tr=cfg["n_tr"],
+                       n_val=cfg["n_val"], n_tasks=n_tasks, seed=seed,
+                       design_scale=cfg["design_scale"])
+    tasks, _ = generate_linear_tasks(spec)
+    prior = PriorParams(standard_normal(p, derive_seed(seed, 99)), np.zeros(p))
+    return tasks, LinearGaussianModel(p), prior
+
+
+def _blob_setup(cfg: Dict[str, Any], task_seed: int):
+    """Blob tasks, the MLP and its starting prior N(0, prior_init_var I)."""
+    spec = BlobTaskSpec(n_classes=cfg["n_classes"], input_dim=cfg["input_dim"],
+                        shots_tr=cfg["shots_tr"], shots_val=cfg["shots_val"],
+                        class_spread=cfg["class_spread"],
+                        blob_sigma=cfg["blob_sigma"], n_tasks=cfg["n_tasks"],
+                        seed=task_seed)
+    model = MLPModel([cfg["input_dim"], cfg["hidden"], cfg["n_classes"]])
+    prior = PriorParams(np.zeros(model.dim),
+                        np.log(cfg["prior_init_var"]) * np.ones(model.dim))
+    return generate_blob_tasks(spec), model, prior
 
 
 # ---------------------------------------------------------------- nrmse-sweep
 
 def _sweep_seed(cfg: Dict[str, Any], seed: int) -> List[List[Any]]:
     """All sweep rows for one seed: one fresh task, a grid of (K, L, method)."""
-    p = int(cfg["dim"])
-    spec = TaskGenSpec(dim=p, noise_sigma=cfg["noise_sigma"],
-                       cond_kappa=cfg["cond_kappa"], n_tr=int(cfg["n_tr"]),
-                       n_val=int(cfg["n_val"]), n_tasks=1, seed=seed,
-                       design_scale=cfg["design_scale"])
-    tasks, _ = generate_linear_tasks(spec)
+    tasks, model, prior = _linear_setup(cfg, seed, 1)
     data = tasks[0]
-    prior = PriorParams(standard_normal(p, derive_seed(seed, 99)), np.zeros(p))
-    model = LinearGaussianModel(p)
     loss = MetaLossSpec(kind=cfg["loss_kind"],
                         kl_weight=0.0 if cfg["loss_kind"] == "val_nll_only" else 1.0,
-                        mc_budget=int(cfg["mc_budget"]))
+                        mc_budget=cfg["mc_budget"])
     truth = oracle_meta_gradient(prior, data, loss)
     rows: List[List[Any]] = []
-    for k in as_int_list(cfg["k_list"], "k_list"):
+    for k in as_int_list(cfg["k_list"]):
         inner = InnerConfig(steps=k, lr=cfg["inner_lr"], record_trace=True)
         v_hat, trace = run_inner_gd(model, data, prior, inner, seed=seed)
 
@@ -176,7 +184,7 @@ def _sweep_seed(cfg: Dict[str, Any], seed: int) -> List[List[Any]]:
         rows.append([k, 0, "unrolled", seed, nrmse(ug, truth),
                      nrmse(ug, truth, coords="raw"), ug.hvp_calls, wall])
 
-        for l_budget in as_int_list(cfg["l_list"], "l_list"):
+        for l_budget in as_int_list(cfg["l_list"]):
             cg = CgConfig(max_iters=l_budget, rel_tol=cfg["cg_rel_tol"])
             t0 = time.perf_counter_ns()
             ig = implicit_meta_gradient(model, data, v_hat, prior, loss, cg,
@@ -220,21 +228,16 @@ def cmd_nrmse_sweep(cfg: Dict[str, Any], out_dir: Path, seeds: List[int],
 def cmd_bench(cfg: Dict[str, Any], out_dir: Path, seeds: List[int],
               workers: int) -> List[Path]:
     """Backward-phase timing only; the forward inner run is shared and untimed."""
-    p = int(cfg["dim"])
+    reps = cfg["reps"]
+    if reps < 10:
+        raise ConfigError(f"config key 'reps' must be >= 10, got {reps}")
     seed = seeds[0]
-    spec = TaskGenSpec(dim=p, noise_sigma=cfg["noise_sigma"],
-                       cond_kappa=cfg["cond_kappa"], n_tr=int(cfg["n_tr"]),
-                       n_val=int(cfg["n_val"]), n_tasks=1, seed=seed,
-                       design_scale=cfg["design_scale"])
-    tasks, _ = generate_linear_tasks(spec)
-    data = tasks[0]
-    prior = PriorParams(standard_normal(p, derive_seed(seed, 99)), np.zeros(p))
-    model = LinearGaussianModel(p)
+    tasks, model, prior = _linear_setup(cfg, seed, 1)
+    data, p = tasks[0], model.dim
     loss = MetaLossSpec()
-    cg = CgConfig(max_iters=int(cfg["cg_iters"]), rel_tol=cfg["cg_rel_tol"])
-    reps = max(int(cfg["reps"]), 10)
+    cg = CgConfig(max_iters=cfg["cg_iters"], rel_tol=cfg["cg_rel_tol"])
     rows = []
-    for k in as_int_list(cfg["k_list"], "k_list"):
+    for k in as_int_list(cfg["k_list"]):
         inner = InnerConfig(steps=k, lr=cfg["inner_lr"], record_trace=True)
         v_hat, trace = run_inner_gd(model, data, prior, inner, seed=seed)
 
@@ -269,47 +272,25 @@ def _train_setup(cfg: Dict[str, Any], seed: int):
     """Build (oracle, tasks, fresh prior, MetaConfig) from a resolved config."""
     dataset = cfg["dataset"]
     if dataset == "linear":
-        p = int(cfg["dim"])
-        spec = TaskGenSpec(dim=p, noise_sigma=cfg["noise_sigma"],
-                           cond_kappa=cfg["cond_kappa"], n_tr=int(cfg["n_tr"]),
-                           n_val=int(cfg["n_val"]),
-                           n_tasks=int(cfg["n_tasks"]), seed=seed,
-                           design_scale=cfg["design_scale"])
-        tasks, _ = generate_linear_tasks(spec)
-        oracle = LinearGaussianModel(p)
+        tasks, oracle, prior = _linear_setup(cfg, seed, cfg["n_tasks"])
         inner_mc = None  # closed-form expected nll
-        prior = PriorParams(standard_normal(p, derive_seed(seed, 99)),
-                            np.zeros(p))
     elif dataset == "blob":
-        spec = BlobTaskSpec(n_classes=int(cfg["n_classes"]),
-                            input_dim=int(cfg["input_dim"]),
-                            shots_tr=int(cfg["shots_tr"]),
-                            shots_val=int(cfg["shots_val"]),
-                            class_spread=cfg["class_spread"],
-                            blob_sigma=cfg["blob_sigma"],
-                            n_tasks=int(cfg["n_tasks"]), seed=seed)
-        tasks = generate_blob_tasks(spec)
-        oracle = MLPModel([int(cfg["input_dim"]), int(cfg["hidden"]),
-                           int(cfg["n_classes"])])
-        inner_mc = int(cfg["mc_budget"])
-        p = oracle.dim
-        prior = PriorParams(np.zeros(p),
-                            np.log(cfg["prior_init_var"]) * np.ones(p))
+        tasks, oracle, prior = _blob_setup(cfg, seed)
+        inner_mc = cfg["mc_budget"]
     else:
         raise ConfigError(f"dataset must be linear or blob, got {dataset!r}")
 
     meta_cfg = MetaConfig(
         method=cfg["method"],
         meta_lr=cfg["meta_lr"],
-        batch_size=int(cfg["batch_size"]),
-        iterations=int(cfg["iterations"]),
-        inner=InnerConfig(steps=int(cfg["inner_steps"]), lr=cfg["inner_lr"],
+        batch_size=cfg["batch_size"],
+        iterations=cfg["iterations"],
+        inner=InnerConfig(steps=cfg["inner_steps"], lr=cfg["inner_lr"],
                           mc_budget=inner_mc),
-        cg=CgConfig(max_iters=int(cfg["cg_iters"]), rel_tol=cfg["cg_rel_tol"],
-                    abort_on_negative_curvature=bool(cfg["cg_abort_negative"])),
-        loss=MetaLossSpec(mc_budget=int(cfg["mc_budget"])),
+        cg=CgConfig(max_iters=cfg["cg_iters"], rel_tol=cfg["cg_rel_tol"],
+                    abort_on_negative_curvature=cfg["cg_abort_negative"]),
+        loss=MetaLossSpec(mc_budget=cfg["mc_budget"]),
         seed=seed,
-        imaml_lambda=cfg["imaml_lambda"],
     )
     if meta_cfg.method == "imaml_mode":
         prior = imaml_prior(prior.dim, prior.mean, cfg["imaml_lambda"])
@@ -324,12 +305,16 @@ def cmd_train(cfg: Dict[str, Any], out_dir: Path, seeds: List[int],
     loss_path = out_dir / "loss.csv"
     start_iter, hvp_total = 0, 0
     if cfg["resume"] and ckpt_path.exists():
+        if not loss_path.exists():
+            raise ConfigError(
+                f"cannot resume from {ckpt_path}: {loss_path.name} is missing "
+                "(restore it, or set resume=false to start over)")
         prior, start_iter, hvp_total = checkpoint_from_json(
             ckpt_path.read_text())
         if start_iter >= meta_cfg.iterations:
             # already trained this far: rewriting would rewind the counter
             # while keeping the later prior
-            return [p for p in (loss_path, ckpt_path) if p.exists()]
+            return [loss_path, ckpt_path]
     rows = []
     for r in range(start_iter, meta_cfg.iterations):
         batch = sample_batch(len(tasks), meta_cfg.batch_size, meta_cfg.seed, r)
@@ -349,27 +334,18 @@ def cmd_train(cfg: Dict[str, Any], out_dir: Path, seeds: List[int],
 def cmd_calibration(cfg: Dict[str, Any], out_dir: Path, seeds: List[int],
                     workers: int) -> List[Path]:
     seed = seeds[0]
-    spec = BlobTaskSpec(n_classes=int(cfg["n_classes"]),
-                        input_dim=int(cfg["input_dim"]),
-                        shots_tr=int(cfg["shots_tr"]),
-                        shots_val=int(cfg["shots_val"]),
-                        class_spread=cfg["class_spread"],
-                        blob_sigma=cfg["blob_sigma"],
-                        n_tasks=int(cfg["n_tasks"]),
-                        seed=derive_seed(seed, 1))  # held out from training
-    tasks = generate_blob_tasks(spec)
-    model = MLPModel([int(cfg["input_dim"]), int(cfg["hidden"]),
-                      int(cfg["n_classes"])])
+    # tasks held out from training
+    tasks, model, prior = _blob_setup(cfg, derive_seed(seed, 1))
     if cfg["checkpoint"]:
-        prior, _, _ = checkpoint_from_json(Path(cfg["checkpoint"]).read_text())
+        ckpt_path = Path(cfg["checkpoint"])
+        if not ckpt_path.is_file():
+            raise ConfigError(f"config key 'checkpoint': no file {ckpt_path}")
+        prior, _, _ = checkpoint_from_json(ckpt_path.read_text())
         if prior.dim != model.dim:
             raise ConfigError("checkpoint dimension does not match the network")
-    else:
-        prior = PriorParams(np.zeros(model.dim),
-                            np.log(cfg["prior_init_var"]) * np.ones(model.dim))
-    inner = InnerConfig(steps=int(cfg["inner_steps"]), lr=cfg["inner_lr"],
-                        mc_budget=int(cfg["mc_budget"]))
-    mc = int(cfg["mc_budget"])
+    mc = cfg["mc_budget"]
+    inner = InnerConfig(steps=cfg["inner_steps"], lr=cfg["inner_lr"],
+                        mc_budget=mc)
     probs_all, labels_all, nlls = [], [], []
     for t, data in enumerate(tasks):
         task_seed = derive_seed(seed, 2, t)
@@ -381,10 +357,10 @@ def cmd_calibration(cfg: Dict[str, Any], out_dir: Path, seeds: List[int],
         nlls.append(model.expected_nll(v_hat, data, "val", mc, task_seed))
     probs = np.concatenate(probs_all, axis=0)
     labels = np.concatenate(labels_all, axis=0)
-    report = ece_mce(probs, labels, n_bins=int(cfg["n_bins"]))
+    report = ece_mce(probs, labels, n_bins=cfg["n_bins"])
     report["mean_val_nll"] = float(np.mean(nlls))
     report["accuracy"] = float((probs.argmax(axis=1) == labels).mean())
-    report["n_tasks"] = int(cfg["n_tasks"])
+    report["n_tasks"] = cfg["n_tasks"]
     path = out_dir / "calibration.json"
     path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     return [path]

@@ -1,12 +1,13 @@
 """Plain-text key=value configuration and run manifests.
 
 Config files hold one ``key = value`` pair per line ('#' comments allowed);
-values are parsed as int, float, bool, comma-separated lists of those, or
-strings. Command-line --set overrides use the same syntax. Every command
-resolves its full config against a schema of defaults, rejects unknown keys
-with the offending field path, and records the resolved config in a JSON
-manifest alongside digests of every output file, so a run can be reproduced
-bitwise from its manifest.
+each value is parsed as the type of its key's default: int, float (an int
+is accepted), bool (true or false), str (raw text, commas included), or a
+comma-separated list of ints. Command-line --set overrides use the same
+syntax. Every command resolves its full config against a schema of defaults,
+rejects unknown keys and mistyped values with a ConfigError naming the key,
+and records the resolved config in a JSON manifest alongside digests of every
+output file, so a run can be reproduced bitwise from its manifest.
 """
 
 from __future__ import annotations
@@ -22,30 +23,38 @@ class ConfigError(ValueError):
     pass
 
 
-def parse_scalar(text: str) -> Any:
+def parse_typed(key: str, text: str, default: Any) -> Any:
+    """Parse ``text`` as a value of the type of ``key``'s default.
+
+    A str key keeps its raw text, a bool key takes only true or false, and an
+    int stays an int for a float key. Only a list-typed key splits on commas;
+    one item without a comma stays a scalar.
+    """
     s = text.strip()
-    if s.lower() in ("true", "false"):
-        return s.lower() == "true"
-    try:
-        return int(s)
-    except ValueError:
-        pass
-    try:
-        return float(s)
-    except ValueError:
-        pass
-    return s
+    if isinstance(default, str):
+        return s
+    if isinstance(default, list):
+        if "," not in s:
+            return parse_typed(key, s, default[0])
+        return [parse_typed(key, part, default[0])
+                for part in s.split(",") if part.strip()]
+    if isinstance(default, bool):
+        if s.lower() in ("true", "false"):
+            return s.lower() == "true"
+    else:
+        for kind in (int, float) if isinstance(default, float) else (int,):
+            try:
+                return kind(s)
+            except ValueError:
+                pass
+    expected = ("true or false" if isinstance(default, bool)
+                else type(default).__name__)
+    raise ConfigError(f"config key {key!r} expects {expected}, got {s!r}")
 
 
-def parse_value(text: str) -> Any:
-    s = text.strip()
-    if "," in s:
-        return [parse_scalar(part) for part in s.split(",") if part.strip()]
-    return parse_scalar(s)
-
-
-def parse_config_file(path: str) -> Dict[str, Any]:
-    out: Dict[str, Any] = {}
+def parse_config_file(path: str) -> Dict[str, str]:
+    """Raw ``key -> value text`` pairs; values are typed by resolve_config."""
+    out: Dict[str, str] = {}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -53,20 +62,21 @@ def parse_config_file(path: str) -> Dict[str, Any]:
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw!r}")
         key, _, value = line.partition("=")
-        out[key.strip()] = parse_value(value)
+        out[key.strip()] = value
     return out
 
 
 def resolve_config(defaults: Dict[str, Any], file_path: Optional[str],
                    overrides: List[str]) -> Dict[str, Any]:
-    """Defaults <- config file <- --set overrides, with unknown-key checks."""
+    """Defaults <- config file <- --set overrides, with unknown-key and
+    value-type checks."""
     cfg = dict(defaults)
 
-    def apply(key: str, value: Any, origin: str):
+    def apply(key: str, text: str, origin: str):
         if key not in defaults:
             raise ConfigError(f"unknown config key {key!r} (from {origin}); "
                               f"known keys: {', '.join(sorted(defaults))}")
-        cfg[key] = value
+        cfg[key] = parse_typed(key, text, defaults[key])
 
     if file_path is not None:
         for k, v in parse_config_file(file_path).items():
@@ -75,16 +85,13 @@ def resolve_config(defaults: Dict[str, Any], file_path: Optional[str],
         if "=" not in item:
             raise ConfigError(f"--set expects key=value, got {item!r}")
         key, _, value = item.partition("=")
-        apply(key.strip(), parse_value(value), "--set")
+        apply(key.strip(), value, "--set")
     return cfg
 
 
-def as_int_list(value: Any, key: str) -> List[int]:
-    items = value if isinstance(value, list) else [value]
-    try:
-        return [int(v) for v in items]
-    except (TypeError, ValueError):
-        raise ConfigError(f"config field {key!r} must be an integer list")
+def as_int_list(value: Any) -> List[int]:
+    """A list-typed config value: already a list, or one scalar."""
+    return value if isinstance(value, list) else [value]
 
 
 def sha256_file(path: Path) -> str:

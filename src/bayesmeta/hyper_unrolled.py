@@ -11,7 +11,6 @@ both paths are validated against.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Optional
 
 import numpy as np
 
@@ -19,7 +18,7 @@ from .inner_opt import (InnerConfig, InnerTrace, inner_objective_grad,
                         run_inner_gd)
 from .meta_loss import MetaGradient, MetaLossSpec, meta_loss_grads, meta_loss_value
 from .models import GradientOracle, TaskData
-from .vi_core import PriorParams, TangentVector, VariationalParams
+from .vi_core import PriorParams, TangentVector
 
 FD_EPS_DEFAULT = 1e-5
 
@@ -39,7 +38,6 @@ def unrolled_meta_gradient(oracle: GradientOracle, data: TaskData,
         raise ValueError("trace/config mismatch: seed list length")
     k_steps = trace.steps
     alpha = cfg.lr
-    w_kl = cfg.kl_weight
     p = prior.dim
     d_prior = prior.var
 
@@ -62,22 +60,18 @@ def unrolled_meta_gradient(oracle: GradientOracle, data: TaskData,
             raise FloatingPointError(f"non-finite adjoint at step {k}")
 
         # theta-partials of the step map (KL only; the nll has no theta term)
-        if w_kl != 0.0:
-            g_m += alpha * w_kl * a_m / d_prior
-            g_d += alpha * w_kl * ((v_k.mean - prior.mean) / d_prior ** 2 * a_m
-                                   + d_k / (2.0 * d_prior ** 2) * a_l)
+        g_m += alpha * a_m / d_prior
+        g_d += alpha * ((v_k.mean - prior.mean) / d_prior ** 2 * a_m
+                        + d_k / (2.0 * d_prior ** 2) * a_l)
 
         # Hessian of the inner objective in log coordinates applied to (a_m, a_l):
         # raw HVP at u = (a_m, d_k * a_l), then chain-rule corrections.
         u = TangentVector(a_m, d_k * a_l)
         hvp = oracle.nll_hvp(v_k, data, "train", u, cfg.mc_budget, step_seed)
-        h_m = hvp.wrt_mean
-        h_d = hvp.wrt_var
-        if w_kl != 0.0:
-            h_m = h_m + w_kl * a_m / d_prior
-            h_d = h_d + w_kl * a_l / (2.0 * d_k)
-        g_raw = inner_objective_grad(oracle, data, v_k, prior, w_kl,
-                                     cfg.mc_budget, step_seed)
+        h_m = hvp.wrt_mean + a_m / d_prior
+        h_d = hvp.wrt_var + a_l / (2.0 * d_k)
+        g_raw = inner_objective_grad(oracle, data, v_k, prior, cfg.mc_budget,
+                                     step_seed)
         h_l = d_k * h_d + d_k * g_raw.wrt_var * a_l
 
         a_m = a_m - alpha * h_m
@@ -94,8 +88,7 @@ def unrolled_meta_gradient(oracle: GradientOracle, data: TaskData,
 def fd_meta_gradient(oracle: GradientOracle, data: TaskData,
                      prior: PriorParams, inner_cfg: InnerConfig,
                      spec: MetaLossSpec, seed: int = 0,
-                     fd_eps: float = FD_EPS_DEFAULT,
-                     freeze_log_var: bool = False) -> MetaGradient:
+                     fd_eps: float = FD_EPS_DEFAULT) -> MetaGradient:
     """Central finite differences of theta -> L_val(inner_gd(theta), theta).
 
     Perturbs all 2p coordinates of (m, log d) with common random numbers;
@@ -106,8 +99,7 @@ def fd_meta_gradient(oracle: GradientOracle, data: TaskData,
 
     def composed(mean, log_var):
         pr = PriorParams(mean, log_var)
-        v, _ = run_inner_gd(oracle, data, pr, cfg, seed,
-                            freeze_log_var=freeze_log_var)
+        v, _ = run_inner_gd(oracle, data, pr, cfg, seed)
         return meta_loss_value(oracle, data, v, pr, spec, seed)
 
     g_m = np.zeros(p)

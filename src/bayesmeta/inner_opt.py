@@ -8,7 +8,7 @@ task, which is the fixed point the GD iterates converge to.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -33,7 +33,6 @@ class InnerConfig:
     lr: float = 0.01
     mc_budget: Optional[int] = None  # None = closed-form expected nll
     record_trace: bool = False
-    kl_weight: float = 1.0
 
     def __post_init__(self):
         if self.steps < 0:
@@ -57,22 +56,18 @@ class InnerTrace:
 
 def inner_objective_grad(oracle: GradientOracle, data: TaskData,
                          v: VariationalParams, prior: PriorParams,
-                         kl_weight: float, mc_budget, seed) -> TangentVector:
-    """Raw-coordinate gradient of L_tr(v) + kl_weight * KL(q(v) || prior)."""
+                         mc_budget, seed) -> TangentVector:
+    """Raw-coordinate gradient of L_tr(v) + KL(q(v) || prior)."""
     g = oracle.nll_grad(v, data, "train", mc_budget, seed)
-    if kl_weight != 0.0:
-        g_kl, _ = kl_grad(v, prior)
-        g = g + kl_weight * g_kl
-    return g
+    g_kl, _ = kl_grad(v, prior)
+    return g + g_kl
 
 
 def inner_objective_value(oracle: GradientOracle, data: TaskData,
                           v: VariationalParams, prior: PriorParams,
-                          kl_weight: float, mc_budget, seed) -> float:
-    val = oracle.expected_nll(v, data, "train", mc_budget, seed)
-    if kl_weight != 0.0:
-        val += kl_weight * kl_diag_gaussian(v, prior)
-    return val
+                          mc_budget, seed) -> float:
+    return (oracle.expected_nll(v, data, "train", mc_budget, seed)
+            + kl_diag_gaussian(v, prior))
 
 
 def run_inner_gd(oracle: GradientOracle, data: TaskData, prior: PriorParams,
@@ -89,8 +84,8 @@ def run_inner_gd(oracle: GradientOracle, data: TaskData, prior: PriorParams,
     for k in range(cfg.steps):
         step_seed = derive_seed(seed, k)
         step_seeds.append(step_seed)
-        g_raw = inner_objective_grad(oracle, data, v, prior, cfg.kl_weight,
-                                     cfg.mc_budget, step_seed)
+        g_raw = inner_objective_grad(oracle, data, v, prior, cfg.mc_budget,
+                                     step_seed)
         new_mean = v.mean - cfg.lr * g_raw.wrt_mean
         if freeze_log_var:
             new_log_var = v.log_var

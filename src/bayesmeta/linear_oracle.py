@@ -9,7 +9,6 @@ used to judge every approximate gradient path. Dense paths cap p at 64.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -17,7 +16,7 @@ from .hyper_implicit import h_diag_blocks
 from .inner_opt import closed_form_linear_optimum
 from .meta_loss import MetaGradient, MetaLossSpec, meta_loss_grads
 from .models import LinearGaussianModel, TaskData
-from .vi_core import PriorParams, TangentVector, VariationalParams
+from .vi_core import PriorParams, VariationalParams
 
 DENSE_P_MAX = 64
 

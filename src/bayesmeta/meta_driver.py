@@ -9,7 +9,7 @@ prior, averaging per-task meta-gradients over the batch. Methods: "implicit"
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -19,7 +19,7 @@ from .hyper_unrolled import unrolled_meta_gradient
 from .inner_opt import InnerConfig, run_inner_gd
 from .meta_loss import MetaGradient, MetaLossSpec, meta_loss_value
 from .models import GradientOracle, TaskData
-from .vi_core import PriorParams, VariationalParams, derive_seed, standard_normal
+from .vi_core import PriorParams, derive_seed, standard_normal
 
 METHODS = ("implicit", "unrolled", "imaml_mode")
 
@@ -34,7 +34,6 @@ class MetaConfig:
     cg: CgConfig = field(default_factory=CgConfig)
     loss: MetaLossSpec = field(default_factory=MetaLossSpec)
     seed: int = 0
-    imaml_lambda: float = 1.0  # prior precision in imaml_mode
 
     def __post_init__(self):
         if self.method not in METHODS:

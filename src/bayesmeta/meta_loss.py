@@ -8,7 +8,7 @@ point, grad_2 w.r.t. the prior (both in raw-variance coordinates).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np

@@ -16,8 +16,8 @@ nll values (gradients and HVPs are unaffected).
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -161,14 +161,13 @@ class MLPModel(GradientOracle):
     classification uses softmax cross-entropy (sigma is ignored).
 
     The HVP is (g(v + h vec) - g(v - h vec)) / (2h) with the same seed on both
-    sides, h = fd_epsilon * (1 + ||v||_inf) / max(||vec||_inf, tiny).
+    sides, h = FD_EPSILON * (1 + ||v||_inf) / max(||vec||_inf, tiny).
     """
 
-    def __init__(self, widths: Sequence[int], fd_epsilon: float = FD_EPSILON):
+    def __init__(self, widths: Sequence[int]):
         super().__init__()
         self.widths = list(widths)
         self.dim = mlp_param_count(self.widths)
-        self.fd_epsilon = fd_epsilon
 
     def _unpack(self, params: np.ndarray):
         """Split (S, p) parameter rows into per-layer weights/biases."""
@@ -283,7 +282,7 @@ class MLPModel(GradientOracle):
         vecnorm = max(np.abs(vec.wrt_mean).max(), np.abs(vec.wrt_var).max())
         if vecnorm == 0.0:
             return TangentVector.zeros(self.dim)
-        h = self.fd_epsilon * (1.0 + vnorm) / vecnorm
+        h = FD_EPSILON * (1.0 + vnorm) / vecnorm
         # keep perturbed variances positive
         d = v.var
         with np.errstate(divide="ignore"):

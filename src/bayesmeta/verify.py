@@ -7,12 +7,13 @@ fails. No network, no external data.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
-from typing import Callable, List
+from dataclasses import dataclass, replace
+from typing import List
 
 import numpy as np
 
-from .hyper_implicit import CgConfig, conjugate_gradient, h_matvec
+from .hyper_implicit import (CgConfig, conjugate_gradient, h_matvec,
+                             implicit_meta_gradient)
 from .hyper_unrolled import fd_meta_gradient, unrolled_meta_gradient
 from .inner_opt import (InnerConfig, closed_form_linear_optimum,
                         inner_objective_grad, inner_objective_value,
@@ -135,7 +136,7 @@ def run_all_checks() -> List[CheckResult]:
     model = LinearGaussianModel(p)
     prior = _prior(p, seed=5)
     v_star = closed_form_linear_optimum(prior, data)
-    g_raw = inner_objective_grad(model, data, v_star, prior, 1.0, None, 0)
+    g_raw = inner_objective_grad(model, data, v_star, prior, None, 0)
     g_log = np.concatenate([g_raw.wrt_mean,
                             raw_to_log_grad(g_raw.wrt_var, v_star.var)])
     scale = 1.0 + np.linalg.norm(np.concatenate([v_star.mean, v_star.log_var]))
@@ -147,7 +148,7 @@ def run_all_checks() -> List[CheckResult]:
     # stationary point of the descended objective (its residual must be large)
     v_printed = closed_form_linear_optimum(prior, data,
                                            printed_variance_factor=True)
-    g_alt = inner_objective_grad(model, data, v_printed, prior, 1.0, None, 0)
+    g_alt = inner_objective_grad(model, data, v_printed, prior, None, 0)
     g_alt_log = np.concatenate([g_alt.wrt_mean,
                                 raw_to_log_grad(g_alt.wrt_var, v_printed.var)])
     record("variance_factor_discrepancy_demo",
@@ -157,11 +158,9 @@ def run_all_checks() -> List[CheckResult]:
 
     cfg = InnerConfig(steps=300, lr=0.01)
     vals = []
-    v_run = VariationalParams.from_prior(prior)
-    from dataclasses import replace
     for k in (0, 50, 100, 300):
         v_k, _ = run_inner_gd(model, data, prior, replace(cfg, steps=k), seed=1)
-        vals.append(inner_objective_value(model, data, v_k, prior, 1.0, None, 0))
+        vals.append(inner_objective_value(model, data, v_k, prior, None, 0))
     record("inner_objective_descent", float(max(np.diff(vals))), 1e-12,
            note="step-size problem if this fails, not a gradient bug")
 
@@ -200,7 +199,6 @@ def run_all_checks() -> List[CheckResult]:
     icfg = InnerConfig(steps=5, lr=0.01, record_trace=True)
     _, trace = run_inner_gd(model, data, prior, icfg, seed=2)
     before = model.hvp_calls
-    ug = fd = None
     ug = unrolled_meta_gradient(model, data, trace, prior, spec, seed=2)
     record("unrolled_hvp_count_equals_k",
            abs(model.hvp_calls - before - icfg.steps), 0.0)
@@ -211,7 +209,6 @@ def run_all_checks() -> List[CheckResult]:
 
     # implicit path: dense-oracle agreement and cost invariance in K
     truth = oracle_meta_gradient(prior, data, spec)
-    from .hyper_implicit import implicit_meta_gradient
     v_star = closed_form_linear_optimum(prior, data)
     est = implicit_meta_gradient(model, data, v_star, prior, spec,
                                  CgConfig(max_iters=4 * p, rel_tol=0.0))
@@ -302,8 +299,8 @@ def _fd_check_nll(model, data, v, g, eps=1e-7):
 
 
 def _dense_hvp_check(model, data, v, prior, eps=1e-3):
-    # quadratic objective: a larger step adds no bias but kills cancellation
     """Dense second-order FD Hessian of the expected nll vs HVP probes."""
+    # quadratic objective: a larger step adds no bias but kills cancellation
     p = v.dim
     probed = np.zeros((2 * p, 2 * p))
     for j in range(2 * p):

@@ -13,7 +13,7 @@ rekeys one generator per call rather than building a new one.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,41 +32,8 @@ def _as_vector(x) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class PriorParams:
-    """Meta-parameters (m, log d) of the diagonal Gaussian prior."""
-
-    mean: np.ndarray
-    log_var: np.ndarray
-
-    def __init__(self, mean, log_var):
-        mean = _as_vector(mean)
-        log_var = _as_vector(log_var)
-        if mean.shape != log_var.shape:
-            raise ValueError("mean/log_var length mismatch")
-        # Assumption: prior variances positive and bounded.
-        log_var = np.clip(log_var, np.log(D_MIN), np.log(D_MAX))
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "log_var", log_var)
-
-    @property
-    def dim(self) -> int:
-        return self.mean.shape[0]
-
-    @property
-    def var(self) -> np.ndarray:
-        return np.exp(self.log_var)
-
-    @classmethod
-    def from_var(cls, mean, var) -> "PriorParams":
-        var = _as_vector(var)
-        if np.any(var <= 0):
-            raise ValueError("prior variances must be positive")
-        return cls(mean, np.log(var))
-
-
-@dataclass(frozen=True)
 class VariationalParams:
-    """Per-task posterior surrogate (m_t, log d_t)."""
+    """Diagonal Gaussian (m_t, log d_t): a task's posterior surrogate."""
 
     mean: np.ndarray
     log_var: np.ndarray
@@ -97,6 +64,18 @@ class VariationalParams:
     @classmethod
     def from_prior(cls, prior: PriorParams) -> "VariationalParams":
         return cls(prior.mean, prior.log_var)
+
+
+@dataclass(frozen=True)
+class PriorParams(VariationalParams):
+    """Meta-parameters (m, log d) of the prior: the same diagonal Gaussian,
+    with log d clipped to [log D_MIN, log D_MAX] at construction."""
+
+    def __init__(self, mean, log_var):
+        super().__init__(mean, log_var)
+        # Assumption: prior variances positive and bounded.
+        object.__setattr__(self, "log_var", np.clip(
+            self.log_var, np.log(D_MIN), np.log(D_MAX)))
 
 
 @dataclass

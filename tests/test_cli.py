@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from bayesmeta import ece_mce
-from bayesmeta.cli import main
+from bayesmeta.cli import CALIBRATION_DEFAULTS, COMMANDS, SWEEP_DEFAULTS, main
+from bayesmeta.config import resolve_config
 
 
 def read_csv(path):
@@ -141,6 +142,17 @@ class TestTrain:
         rows = read_csv(tmp_path / "loss.csv")
         assert [r[0] for r in rows[1:]] == ["0", "1", "2", "3"]
 
+    def test_resume_without_loss_csv_is_refused(self, tmp_path, capsys):
+        common = ["--out", str(tmp_path), "--set", "n_tasks=4",
+                  "--set", "batch_size=2"]
+        assert main(["train", "--set", "iterations=2"] + common) == 0
+        (tmp_path / "loss.csv").unlink()
+        ckpt = (tmp_path / "checkpoint.json").read_bytes()
+        assert main(["train", "--set", "iterations=4"] + common) == 2
+        assert "loss.csv" in capsys.readouterr().err
+        assert (tmp_path / "checkpoint.json").read_bytes() == ckpt
+        assert not (tmp_path / "loss.csv").exists()
+
     def test_blob_dataset_runs(self, tmp_path):
         rc = main(["train", "--out", str(tmp_path), "--set", "dataset=blob",
                    "--set", "iterations=2", "--set", "n_tasks=4",
@@ -215,3 +227,76 @@ class TestVerifyCommand:
         assert any(n.startswith("lemma1_jacobian_vs_fd") for n in names)
         for check in report["checks"]:
             assert {"name", "measured", "tolerance", "passed"} <= set(check)
+
+
+# Every command's resolved default config, as its manifest records it.
+PINNED_DEFAULTS = {
+    "nrmse-sweep": {
+        "cg_rel_tol": 1e-10, "cond_kappa": 20.0, "design_scale": 0.018,
+        "dim": 32, "inner_lr": 0.01,
+        "k_list": [1, 2, 5, 10, 20, 50, 100, 200, 500, 1000], "l_list": [2],
+        "loss_kind": "val_nll_only", "mc_budget": 64, "n_tr": 32, "n_val": 64,
+        "noise_sigma": 0.01,
+    },
+    "bench": {
+        "cg_iters": 5, "cg_rel_tol": 1e-10, "cond_kappa": 20.0,
+        "design_scale": 0.018, "dim": 32, "inner_lr": 0.01,
+        "k_list": [1, 2, 4, 8, 16, 32, 64, 128, 256, 512], "n_tr": 32,
+        "n_val": 64, "noise_sigma": 0.01, "reps": 10,
+    },
+    "train": {
+        "batch_size": 4, "blob_sigma": 0.5, "cg_abort_negative": False,
+        "cg_iters": 5, "cg_rel_tol": 1e-10, "class_spread": 2.0,
+        "cond_kappa": 20.0, "dataset": "linear", "design_scale": 0.018,
+        "dim": 32, "hidden": 32, "imaml_lambda": 1.0, "inner_lr": 0.01,
+        "inner_steps": 100, "input_dim": 2, "iterations": 100,
+        "mc_budget": 64, "meta_lr": 0.01, "method": "implicit",
+        "n_classes": 5, "n_tasks": 20, "n_tr": 32, "n_val": 64,
+        "noise_sigma": 0.01, "prior_init_var": 0.1, "resume": True,
+        "shots_tr": 5, "shots_val": 10,
+    },
+    "calibration": {
+        "blob_sigma": 0.5, "checkpoint": "", "class_spread": 2.0,
+        "hidden": 32, "inner_lr": 0.01, "inner_steps": 100, "input_dim": 2,
+        "mc_budget": 64, "n_bins": 10, "n_classes": 5, "n_tasks": 20,
+        "prior_init_var": 0.1, "shots_tr": 5, "shots_val": 10,
+    },
+    "verify": {},
+}
+
+
+class TestConfig:
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_resolved_defaults_are_pinned(self, command):
+        cfg = resolve_config(COMMANDS[command][0], None, [])
+        # compared as manifest text, so 20 in place of 20.0 also fails
+        assert json.dumps(cfg, sort_keys=True) == \
+            json.dumps(PINNED_DEFAULTS[command], sort_keys=True)
+
+    @pytest.mark.parametrize("command, item, named", [
+        ("nrmse-sweep", "dim=abc", ["dim"]),
+        ("nrmse-sweep", "dim=2.5", ["dim"]),
+        ("nrmse-sweep", "k_list=1,x", ["k_list"]),
+        ("train", "resume=maybe", ["resume"]),
+        ("train", "meta_lr=true", ["meta_lr"]),
+        ("calibration", "checkpoint=a,b/ckpt.json",
+         ["checkpoint", "a,b/ckpt.json"]),
+        ("bench", "reps=3", ["reps"]),
+    ])
+    def test_bad_value_exits_2_naming_key(self, tmp_path, capsys, command,
+                                          item, named):
+        assert main([command, "--out", str(tmp_path), "--set", item]) == 2
+        err = capsys.readouterr().err
+        for text in named:
+            assert text in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_accepted_values_keep_their_form(self):
+        cfg = resolve_config(SWEEP_DEFAULTS, None,
+                             ["noise_sigma=1", "k_list=1", "l_list=2,5"])
+        assert type(cfg["noise_sigma"]) is int and cfg["noise_sigma"] == 1
+        assert cfg["k_list"] == 1
+        assert cfg["l_list"] == [2, 5]
+        cfg = resolve_config(CALIBRATION_DEFAULTS, None,
+                             ["checkpoint=a,b/ckpt.json"])
+        assert cfg["checkpoint"] == "a,b/ckpt.json"

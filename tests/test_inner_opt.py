@@ -103,7 +103,7 @@ class TestRunInnerGd:
         model = LinearGaussianModel(p)
         cfg = InnerConfig(steps=200, lr=0.01, record_trace=True)
         _, trace = run_inner_gd(model, data, prior, cfg)
-        vals = [inner_objective_value(model, data, v, prior, 1.0, None, 0)
+        vals = [inner_objective_value(model, data, v, prior, None, 0)
                 for v in trace.iterates]
         diffs = np.diff(vals)
         assert np.all(diffs <= 1e-12), \
@@ -168,7 +168,7 @@ class TestClosedForm:
         prior = random_prior(p, 12)
         model = LinearGaussianModel(p)
         v_star = closed_form_linear_optimum(prior, data)
-        g = inner_objective_grad(model, data, v_star, prior, 1.0, None, 0)
+        g = inner_objective_grad(model, data, v_star, prior, None, 0)
         g_log = np.concatenate([g.wrt_mean,
                                 raw_to_log_grad(g.wrt_var, v_star.var)])
         scale = 1.0 + np.linalg.norm(np.concatenate([v_star.mean,
@@ -192,7 +192,7 @@ class TestClosedForm:
         model = LinearGaussianModel(p)
         v_alt = closed_form_linear_optimum(prior, data,
                                            printed_variance_factor=True)
-        g = inner_objective_grad(model, data, v_alt, prior, 1.0, None, 0)
+        g = inner_objective_grad(model, data, v_alt, prior, None, 0)
         g_log = np.concatenate([g.wrt_mean,
                                 raw_to_log_grad(g.wrt_var, v_alt.var)])
         scale = 1.0 + np.linalg.norm(np.concatenate([v_alt.mean,

@@ -188,8 +188,7 @@ class TestSampleBatch:
 class TestImamlMode:
     def test_prior_variance_frozen_across_steps(self):
         lam = 2.0
-        oracle, tasks, _, cfg = linear_setup(method="imaml_mode",
-                                             imaml_lambda=lam)
+        oracle, tasks, _, cfg = linear_setup(method="imaml_mode")
         prior = imaml_prior(8, np.zeros(8), lam)
         for r in range(3):
             batch = sample_batch(len(tasks), cfg.batch_size, cfg.seed, r)
