@@ -138,6 +138,20 @@ def _write_csv(path: Path, header: List[str], rows: List[List[Any]],
         w.writerows(rows)
 
 
+def _read_checkpoint(path: Path, dim: int, source: str):
+    """(prior, iteration, hvp_total) of a train checkpoint whose prior has
+    dimension ``dim``; anything else is refused naming ``source``."""
+    try:
+        prior, iteration, hvp_total = checkpoint_from_json(path.read_text())
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise ConfigError(f"{source}: {path} is not a train checkpoint "
+                          f"({type(exc).__name__}: {exc})")
+    if prior.dim != dim:
+        raise ConfigError(f"{source}: {path} holds a prior of dimension "
+                          f"{prior.dim}, the model has {dim}")
+    return prior, iteration, hvp_total
+
+
 def _linear_setup(cfg: Dict[str, Any], seed: int, n_tasks: int):
     """Linear tasks, their closed-form model and the starting prior."""
     p = cfg["dim"]
@@ -309,8 +323,8 @@ def cmd_train(cfg: Dict[str, Any], out_dir: Path, seeds: List[int],
             raise ConfigError(
                 f"cannot resume from {ckpt_path}: {loss_path.name} is missing "
                 "(restore it, or set resume=false to start over)")
-        prior, start_iter, hvp_total = checkpoint_from_json(
-            ckpt_path.read_text())
+        prior, start_iter, hvp_total = _read_checkpoint(
+            ckpt_path, oracle.dim, "cannot resume")
         if start_iter >= meta_cfg.iterations:
             # already trained this far: rewriting would rewind the counter
             # while keeping the later prior
@@ -340,9 +354,8 @@ def cmd_calibration(cfg: Dict[str, Any], out_dir: Path, seeds: List[int],
         ckpt_path = Path(cfg["checkpoint"])
         if not ckpt_path.is_file():
             raise ConfigError(f"config key 'checkpoint': no file {ckpt_path}")
-        prior, _, _ = checkpoint_from_json(ckpt_path.read_text())
-        if prior.dim != model.dim:
-            raise ConfigError("checkpoint dimension does not match the network")
+        prior, _, _ = _read_checkpoint(ckpt_path, model.dim,
+                                       "config key 'checkpoint'")
     mc = cfg["mc_budget"]
     inner = InnerConfig(steps=cfg["inner_steps"], lr=cfg["inner_lr"],
                         mc_budget=mc)

@@ -1,8 +1,11 @@
 """Self-contained invariant suite behind the ``verify`` CLI command.
 
-Each check produces a named record with the measured value and its
-tolerance; the command prints one line per check and exits nonzero if any
-fails. No network, no external data.
+Each oracle comparison is a public function that takes an instance and
+returns ``(estimate, reference)``; ``run_all_checks`` calls them on fixed
+instances and the tests call them on their own, so every finite-difference
+loop, probe and dense solve exists once. Each check produces a named record
+with the measured value and its tolerance; the command prints one line per
+check and exits nonzero if any fails. No network, no external data.
 """
 
 from __future__ import annotations
@@ -41,6 +44,155 @@ class CheckResult:
         extra = f"  ({self.note})" if self.note else ""
         return (f"{status}  {self.name}: measured={self.measured:.3e} "
                 f"tolerance={self.tolerance:.3e}{extra}")
+
+
+def rel_err(got, want, floor=0.0) -> float:
+    """||got - want|| / max(||want||, floor), Frobenius for matrices."""
+    return np.linalg.norm(got - want) / max(np.linalg.norm(want), floor)
+
+
+def _probe(matvec, n):
+    """Dense n-column matrix whose column j is matvec(e_j)."""
+    return np.column_stack([matvec(np.eye(n)[j]) for j in range(n)])
+
+
+def kl_grad_vs_fd(q, prior):
+    """kl_grad in (m_q, d_q, m_p, d_p) vs central FD with relative steps."""
+    def f(qm, qd, pm, pd):
+        return kl_diag_gaussian(VariationalParams.from_var(qm, qd),
+                                PriorParams.from_var(pm, pd))
+
+    base = [q.mean, q.var, prior.mean, prior.var]
+    p = q.dim
+    num = np.zeros(4 * p)
+    for block in range(4):
+        for i in range(p):
+            h = 1e-6 * (1 + abs(base[block][i]))
+            plus = [a.copy() for a in base]
+            minus = [a.copy() for a in base]
+            plus[block][i] += h
+            minus[block][i] -= h
+            num[block * p + i] = (f(*plus) - f(*minus)) / (2 * h)
+    g_q, g_pr = kl_grad(q, prior)
+    return np.concatenate([g_q.wrt_mean, g_q.wrt_var,
+                           g_pr.wrt_mean, g_pr.wrt_var]), num
+
+
+def log_chain_rule_vs_fd(f, grad_d, d):
+    """raw_to_log_grad(grad_d, d) vs central FD of f(exp(ell)), ell = log d."""
+    h = 1e-7
+    ell = np.log(d)
+    fd = np.zeros(len(d))
+    for i in range(len(d)):
+        e = h * np.eye(len(d))[i]
+        fd[i] = (f(np.exp(ell + e)) - f(np.exp(ell - e))) / (2 * h)
+    return raw_to_log_grad(grad_d, d), fd
+
+
+def nll_grad_vs_fd(model, data, v, eps=1e-7, mc_budget=None, seed=0):
+    """Train-split nll_grad in (m, d) vs central FD with relative steps;
+    MC oracles use common random numbers through ``seed``."""
+    p = v.dim
+
+    def f(m, d):
+        return model.expected_nll(VariationalParams.from_var(m, d), data,
+                                  "train", mc_budget, seed)
+
+    num = np.zeros(2 * p)
+    for i in range(p):
+        h = eps * (1 + abs(v.mean[i]))
+        e = h * np.eye(p)[i]
+        num[i] = (f(v.mean + e, v.var) - f(v.mean - e, v.var)) / (2 * h)
+        h = eps * v.var[i]
+        e = h * np.eye(p)[i]
+        num[p + i] = (f(v.mean, v.var + e) - f(v.mean, v.var - e)) / (2 * h)
+    return model.nll_grad(v, data, "train", mc_budget, seed).concat(), num
+
+
+def nll_hvp_vs_dense_fd(model, data, v):
+    """HVP probes vs the dense second-order FD Hessian of the expected nll."""
+    # quadratic objective: a larger step adds no bias but kills cancellation
+    n = 2 * v.dim
+    probed = _probe(lambda e: model.nll_hvp(
+        v, data, "train", TangentVector.from_concat(e)).concat(), n)
+
+    def f(vec):
+        return model.expected_nll(
+            VariationalParams.from_var(vec[:v.dim],
+                                       np.maximum(vec[v.dim:], 1e-12)),
+            data, "train")
+
+    x0 = np.concatenate([v.mean, v.var])
+    dense = np.zeros((n, n))
+    for i in range(n):
+        for j in range(n):
+            hi = 1e-3 * (1 + abs(x0[i]))
+            hj = 1e-3 * (1 + abs(x0[j]))
+            ei = hi * np.eye(n)[i]
+            ej = hj * np.eye(n)[j]
+            dense[i, j] = (f(x0 + ei + ej) - f(x0 + ei - ej)
+                           - f(x0 - ei + ej) + f(x0 - ei - ej)) / (4 * hi * hj)
+    return probed, dense
+
+
+def cg_vs_dense_solve(spd, b, max_iters):
+    """CG on the SPD system spd x = b (rel_tol 0) vs np.linalg.solve."""
+    sol, _, _ = conjugate_gradient(
+        lambda t: TangentVector.from_concat(spd @ t.concat()),
+        TangentVector.from_concat(b), CgConfig(max_iters=max_iters,
+                                               rel_tol=0.0))
+    return sol.concat(), np.linalg.solve(spd, b)
+
+
+def h_matvec_vs_dense(model, data, v, prior):
+    """h_matvec probed on unit vectors vs the dense assembled H."""
+    probed = _probe(lambda e: h_matvec(model, data, v, prior,
+                                       TangentVector.from_concat(e)).concat(),
+                    2 * v.dim)
+    return probed, oracle_dense_h(prior, data, v)
+
+
+def log_stationarity(model, data, v, prior):
+    """Residual ||grad|| of the inner objective at v in (m, log d), and the
+    scale 1 + ||(m, log d)|| it is measured against."""
+    g = inner_objective_grad(model, data, v, prior, None, 0)
+    g_log = np.concatenate([g.wrt_mean, raw_to_log_grad(g.wrt_var, v.var)])
+    return (np.linalg.norm(g_log),
+            1.0 + np.linalg.norm(np.concatenate([v.mean, v.log_var])))
+
+
+def lemma1_jacobian_vs_fd(prior, data):
+    """Dense implicit (Lemma-1) Jacobian vs the FD Jacobian of the optimum."""
+    return (dense_snapshot(prior, data).jacobian_dense,
+            fd_jacobian_of_optimum(prior, data))
+
+
+def unrolled_vs_fd(model, data, prior, icfg, spec, seed=0):
+    """Reverse sweep through a recorded unroll vs FD through the same unroll,
+    both in log coordinates; ``icfg`` must record the trace."""
+    _, trace = run_inner_gd(model, data, prior, icfg, seed=seed)
+    ug = unrolled_meta_gradient(model, data, trace, prior, spec, seed=seed)
+    fd = fd_meta_gradient(model, data, prior, icfg, spec, seed=seed)
+    return ug.concat_log(), fd.concat_log()
+
+
+def imaml_jacobian_vs_dense(model, data, prior, lam):
+    """Frozen-variance mean-block Jacobian from CG vs (H/lambda + I)^-1."""
+    p = prior.dim
+    v_fix = VariationalParams.from_prior(prior)
+    g_tr = model.nll_grad(v_fix, data, "train")
+
+    def mv(t):
+        out = h_matvec(model, data, v_fix, prior,
+                       TangentVector(t.wrt_mean, np.zeros(p)),
+                       grad_var_tr=g_tr.wrt_var)
+        return TangentVector(out.wrt_mean, t.wrt_var)
+
+    jac = _probe(lambda e: conjugate_gradient(
+        mv, TangentVector(e, np.zeros(p)),
+        CgConfig(max_iters=4 * p, rel_tol=0.0))[0].wrt_mean / prior.var, p)
+    hess_m = data.x_tr @ data.x_tr.T / data.noise_sigma ** 2
+    return jac, np.linalg.inv(hess_m / lam + np.eye(p))
 
 
 def _task(p=8, seed=0, **kw):
@@ -82,27 +234,14 @@ def run_all_checks() -> List[CheckResult]:
         prior = _prior(p, seed=10 + p)
         q = VariationalParams(prior.mean + 0.5 * rng.normal(size=p),
                               prior.log_var + 0.3 * rng.normal(size=p))
-        g_q, g_pr = kl_grad(q, prior)
-        err = _fd_check_kl(q, prior, g_q, g_pr)
-        record(f"kl_grad_vs_fd_p{p}", err, 1e-6)
+        record(f"kl_grad_vs_fd_p{p}",
+               rel_err(*kl_grad_vs_fd(q, prior), floor=1e-12), 1e-6)
 
-    # log-coordinate chain rule on a quadratic
-    p = 5
-    d = rng.uniform(0.2, 2.0, p)
-    a = rng.normal(size=p)
-    grad_d = 2 * a * d + a  # gradient of f(d) = sum a d^2 + a d
-    lhs = raw_to_log_grad(grad_d, d)
-    ell = np.log(d)
-    fd = np.zeros(p)
-    for i in range(p):
-        h = 1e-7
-        e = np.zeros(p)
-        e[i] = h
-        f_plus = np.sum(a * np.exp(ell + e) ** 2 + a * np.exp(ell + e))
-        f_minus = np.sum(a * np.exp(ell - e) ** 2 + a * np.exp(ell - e))
-        fd[i] = (f_plus - f_minus) / (2 * h)
-    record("log_chain_rule_vs_fd", np.linalg.norm(lhs - fd) / np.linalg.norm(fd),
-           1e-6)
+    # log-coordinate chain rule on f(d) = sum a d^2 + a d
+    d = rng.uniform(0.2, 2.0, 5)
+    a = rng.normal(size=5)
+    record("log_chain_rule_vs_fd", rel_err(*log_chain_rule_vs_fd(
+        lambda x: np.sum(a * x ** 2 + a * x), 2 * a * d + a, d)), 1e-6)
 
     # linear-model gradient and HVP vs finite differences
     p = 6
@@ -111,24 +250,17 @@ def run_all_checks() -> List[CheckResult]:
     prior = _prior(p, seed=3)
     v = VariationalParams(prior.mean + 0.2 * rng.normal(size=p),
                           prior.log_var + 0.2 * rng.normal(size=p))
-    g = model.nll_grad(v, data, "train")
-    err = _fd_check_nll(model, data, v, g)
-    record("linear_grad_vs_fd", err, 1e-6)
-    herr = _dense_hvp_check(model, data, v, prior)
-    record("linear_hvp_vs_dense_fd", herr, 1e-6)
+    record("linear_grad_vs_fd", rel_err(*nll_grad_vs_fd(model, data, v)), 1e-6)
+    record("linear_hvp_vs_dense_fd",
+           rel_err(*nll_hvp_vs_dense_fd(model, data, v), floor=1.0), 1e-6)
 
     # CG exact solve vs dense for SPD systems
     for p_cg in (6, 16):
         a = rng.normal(size=(2 * p_cg, 2 * p_cg))
         spd = a @ a.T + 2 * p_cg * np.eye(2 * p_cg)
         b = rng.normal(size=2 * p_cg)
-        sol, iters, _ = conjugate_gradient(
-            lambda t: TangentVector.from_concat(spd @ t.concat()),
-            TangentVector.from_concat(b),
-            CgConfig(max_iters=2 * 2 * p_cg, rel_tol=0.0))
-        ref = np.linalg.solve(spd, b)
         record(f"cg_vs_dense_solve_p{p_cg}",
-               np.linalg.norm(sol.concat() - ref) / np.linalg.norm(ref), 1e-8)
+               rel_err(*cg_vs_dense_solve(spd, b, 2 * 2 * p_cg)), 1e-8)
 
     # inner GD: stationarity of the closed-form optimum, contraction, descent
     p = 8
@@ -136,23 +268,19 @@ def run_all_checks() -> List[CheckResult]:
     model = LinearGaussianModel(p)
     prior = _prior(p, seed=5)
     v_star = closed_form_linear_optimum(prior, data)
-    g_raw = inner_objective_grad(model, data, v_star, prior, None, 0)
-    g_log = np.concatenate([g_raw.wrt_mean,
-                            raw_to_log_grad(g_raw.wrt_var, v_star.var)])
-    scale = 1.0 + np.linalg.norm(np.concatenate([v_star.mean, v_star.log_var]))
-    record("stationarity_at_closed_form", np.linalg.norm(g_log) / scale, 1e-8)
+    residual, scale = log_stationarity(model, data, v_star, prior)
+    record("stationarity_at_closed_form", residual / scale, 1e-8)
     record("posterior_variance_contraction",
            float(np.max(v_star.var - prior.var)), 1e-15)
 
     # demonstration: the alternative 1/(2 sigma^2) variance factor is NOT the
-    # stationary point of the descended objective (its residual must be large)
+    # stationary point of the descended objective (its residual, against the
+    # closed-form optimum's scale, must be large)
     v_printed = closed_form_linear_optimum(prior, data,
                                            printed_variance_factor=True)
-    g_alt = inner_objective_grad(model, data, v_printed, prior, None, 0)
-    g_alt_log = np.concatenate([g_alt.wrt_mean,
-                                raw_to_log_grad(g_alt.wrt_var, v_printed.var)])
-    record("variance_factor_discrepancy_demo",
-           np.linalg.norm(g_alt_log) / scale, 1e-8, upper=False,
+    residual, _ = log_stationarity(model, data, v_printed, prior)
+    record("variance_factor_discrepancy_demo", residual / scale, 1e-8,
+           upper=False,
            note="alternative 1/(2 sigma^2) variance scaling fails stationarity,"
                 " as expected")
 
@@ -166,29 +294,16 @@ def run_all_checks() -> List[CheckResult]:
 
     # Lemma-1 implicit Jacobian vs FD Jacobian of the closed-form optimum
     for p_l in (2, 4, 8):
-        data_l = _task(p=p_l, seed=20 + p_l)
-        prior_l = _prior(p_l, seed=20 + p_l)
-        snap = dense_snapshot(prior_l, data_l)
-        fd_jac = fd_jacobian_of_optimum(prior_l, data_l)
-        record(f"lemma1_jacobian_vs_fd_p{p_l}",
-               np.linalg.norm(snap.jacobian_dense - fd_jac)
-               / np.linalg.norm(fd_jac), 1e-4)
+        record(f"lemma1_jacobian_vs_fd_p{p_l}", rel_err(*lemma1_jacobian_vs_fd(
+            _prior(p_l, seed=20 + p_l), _task(p=p_l, seed=20 + p_l))), 1e-4)
 
     # h_matvec probing reproduces the dense H
     p = 3
     data = _task(p=p, seed=9)
     prior = _prior(p, seed=9)
-    model = LinearGaussianModel(p)
     v = closed_form_linear_optimum(prior, data)
-    dense_h = oracle_dense_h(prior, data, v)
-    probed = np.zeros_like(dense_h)
-    for j in range(2 * p):
-        e = np.zeros(2 * p)
-        e[j] = 1.0
-        probed[:, j] = h_matvec(model, data, v, prior,
-                                TangentVector.from_concat(e)).concat()
-    record("h_matvec_vs_dense", np.linalg.norm(probed - dense_h)
-           / np.linalg.norm(dense_h), 1e-10)
+    record("h_matvec_vs_dense", rel_err(*h_matvec_vs_dense(
+        LinearGaussianModel(p), data, v, prior)), 1e-10)
 
     # unrolled vs FD-through-the-unroll, and exact cost counters
     p = 4
@@ -197,15 +312,11 @@ def run_all_checks() -> List[CheckResult]:
     model = LinearGaussianModel(p)
     spec = MetaLossSpec()
     icfg = InnerConfig(steps=5, lr=0.01, record_trace=True)
-    _, trace = run_inner_gd(model, data, prior, icfg, seed=2)
     before = model.hvp_calls
-    ug = unrolled_meta_gradient(model, data, trace, prior, spec, seed=2)
+    got, want = unrolled_vs_fd(model, data, prior, icfg, spec, seed=2)
     record("unrolled_hvp_count_equals_k",
            abs(model.hvp_calls - before - icfg.steps), 0.0)
-    fd = fd_meta_gradient(model, data, prior, icfg, spec, seed=2)
-    record("unrolled_vs_fd_through_unroll",
-           np.linalg.norm(ug.concat_log() - fd.concat_log())
-           / np.linalg.norm(fd.concat_log()), 1e-5)
+    record("unrolled_vs_fd_through_unroll", rel_err(got, want), 1e-5)
 
     # implicit path: dense-oracle agreement and cost invariance in K
     truth = oracle_meta_gradient(prior, data, spec)
@@ -226,105 +337,9 @@ def run_all_checks() -> List[CheckResult]:
 
     # iMAML reduction: mean-block Jacobian equals (H/lambda + I)^-1
     p = 4
-    data = _task(p=p, seed=13)
     lam = 2.5
-    prior_i = imaml_prior(p, 0.3 * np.ones(p), lam)
-    model = LinearGaussianModel(p)
-    v_fix = VariationalParams.from_prior(prior_i)
-    g_tr = model.nll_grad(v_fix, data, "train")
-    jac = np.zeros((p, p))
-    for j in range(p):
-        e = np.zeros(p)
-        rhs = TangentVector(np.eye(p)[j], np.zeros(p))
-
-        def mv(t):
-            out = h_matvec(model, data, v_fix, prior_i,
-                           TangentVector(t.wrt_mean, np.zeros(p)),
-                           grad_var_tr=g_tr.wrt_var)
-            return TangentVector(out.wrt_mean, t.wrt_var)
-
-        u, _, _ = conjugate_gradient(mv, rhs, CgConfig(max_iters=4 * p,
-                                                       rel_tol=0.0))
-        jac[:, j] = u.wrt_mean / prior_i.var
-    hess_m = data.x_tr @ data.x_tr.T / data.noise_sigma ** 2
-    dense = np.linalg.inv(hess_m / lam + np.eye(p))
-    record("imaml_reduction_vs_dense",
-           np.linalg.norm(jac - dense) / np.linalg.norm(dense), 1e-10)
+    record("imaml_reduction_vs_dense", rel_err(*imaml_jacobian_vs_dense(
+        LinearGaussianModel(p), _task(p=p, seed=13),
+        imaml_prior(p, 0.3 * np.ones(p), lam), lam)), 1e-10)
 
     return results
-
-
-def _fd_check_kl(q, prior, g_q, g_pr, eps=1e-6):
-    p = q.dim
-    num = np.zeros(4 * p)
-    ana = np.concatenate([g_q.wrt_mean, g_q.wrt_var,
-                          g_pr.wrt_mean, g_pr.wrt_var])
-
-    def f(qm, qd, pm, pd):
-        return kl_diag_gaussian(VariationalParams.from_var(qm, qd),
-                                PriorParams.from_var(pm, pd))
-
-    blocks = [(q.mean, 0), (q.var, 1), (prior.mean, 2), (prior.var, 3)]
-    for bi, (vec, which) in enumerate(blocks):
-        for i in range(p):
-            h = eps * (1 + abs(vec[i]))
-            args_p = [q.mean.copy(), q.var.copy(), prior.mean.copy(),
-                      prior.var.copy()]
-            args_m = [a.copy() for a in args_p]
-            args_p[which][i] += h
-            args_m[which][i] -= h
-            num[bi * p + i] = (f(*args_p) - f(*args_m)) / (2 * h)
-    return np.linalg.norm(ana - num) / max(np.linalg.norm(num), 1e-12)
-
-
-def _fd_check_nll(model, data, v, g, eps=1e-7):
-    p = v.dim
-    num = np.zeros(2 * p)
-
-    def f(m, d):
-        return model.expected_nll(VariationalParams.from_var(m, d), data,
-                                  "train")
-
-    for i in range(p):
-        h = eps * (1 + abs(v.mean[i]))
-        e = np.zeros(p)
-        e[i] = h
-        num[i] = (f(v.mean + e, v.var) - f(v.mean - e, v.var)) / (2 * h)
-        h = eps * v.var[i]
-        e = np.zeros(p)
-        e[i] = h
-        num[p + i] = (f(v.mean, v.var + e) - f(v.mean, v.var - e)) / (2 * h)
-    ana = g.concat()
-    return np.linalg.norm(ana - num) / np.linalg.norm(num)
-
-
-def _dense_hvp_check(model, data, v, prior, eps=1e-3):
-    """Dense second-order FD Hessian of the expected nll vs HVP probes."""
-    # quadratic objective: a larger step adds no bias but kills cancellation
-    p = v.dim
-    probed = np.zeros((2 * p, 2 * p))
-    for j in range(2 * p):
-        e = np.zeros(2 * p)
-        e[j] = 1.0
-        probed[:, j] = model.nll_hvp(v, data, "train",
-                                     TangentVector.from_concat(e)).concat()
-
-    def f(vec):
-        return model.expected_nll(
-            VariationalParams.from_var(vec[:p], np.maximum(vec[p:], 1e-12)),
-            data, "train")
-
-    x0 = np.concatenate([v.mean, v.var])
-    dense = np.zeros((2 * p, 2 * p))
-    for i in range(2 * p):
-        for j in range(2 * p):
-            hi = eps * (1 + abs(x0[i]))
-            hj = eps * (1 + abs(x0[j]))
-            ei = np.zeros(2 * p)
-            ej = np.zeros(2 * p)
-            ei[i] = hi
-            ej[j] = hj
-            dense[i, j] = (f(x0 + ei + ej) - f(x0 + ei - ej)
-                           - f(x0 - ei + ej) + f(x0 - ei - ej)) / (4 * hi * hj)
-    denom = max(np.linalg.norm(dense), 1.0)
-    return np.linalg.norm(probed - dense) / denom

@@ -12,18 +12,17 @@ import numpy as np
 import pytest
 
 from bayesmeta import (CgConfig, InnerConfig, LinearGaussianModel, MLPModel,
-                       MetaConfig, MetaLossSpec, PriorParams, TangentVector,
-                       TaskGenSpec, VariationalParams,
-                       closed_form_linear_optimum, conjugate_gradient,
-                       dense_snapshot, ece_mce, fd_jacobian_of_optimum,
-                       fd_meta_gradient, generate_blob_tasks,
-                       generate_linear_tasks, h_matvec, imaml_prior,
+                       MetaConfig, MetaLossSpec, PriorParams, TaskGenSpec,
+                       closed_form_linear_optimum, ece_mce,
+                       generate_blob_tasks, generate_linear_tasks, imaml_prior,
                        implicit_meta_gradient, meta_step, nrmse,
                        oracle_meta_gradient, posterior_predictive_probs,
                        run_inner_gd, sample_batch, unrolled_meta_gradient)
 from bayesmeta.meta_driver import BlobTaskSpec
-from bayesmeta.verify import run_all_checks
+from bayesmeta.verify import (imaml_jacobian_vs_dense, lemma1_jacobian_vs_fd,
+                              rel_err, run_all_checks, unrolled_vs_fd)
 from bayesmeta.vi_core import derive_seed
+from helpers import random_prior, small_task
 
 DIM = 32
 K_GRID = [1, 2, 5, 10, 20, 50, 100, 200, 500, 1000]
@@ -47,21 +46,6 @@ def benchmark_task(seed):
     rng = np.random.default_rng(derive_seed(seed, 99))
     prior = PriorParams(rng.standard_normal(DIM), np.zeros(DIM))
     return tasks[0], prior
-
-
-def small_task(p=4, n=8, seed=0, sigma=0.3):
-    from bayesmeta import TaskData
-    rng = np.random.default_rng(seed)
-    x = rng.normal(size=(p, n))
-    theta = rng.normal(size=p)
-    return TaskData(x_tr=x, y_tr=x.T @ theta + sigma * rng.normal(size=n),
-                    x_val=rng.normal(size=(p, n)), y_val=rng.normal(size=n),
-                    noise_sigma=sigma)
-
-
-def random_prior(p, seed=0):
-    rng = np.random.default_rng(seed)
-    return PriorParams(rng.normal(size=p), rng.uniform(-1, 0.5, p))
 
 
 @pytest.fixture(scope="module")
@@ -98,14 +82,9 @@ def sweep():
 
 
 def test_criterion_1_implicit_jacobian_matches_fd():
-    worst = 0.0
-    for p in (2, 4, 8):
-        data = small_task(p, n=2 * p, seed=p)
-        prior = random_prior(p, p)
-        snap = dense_snapshot(prior, data)
-        fd = fd_jacobian_of_optimum(prior, data)
-        err = np.linalg.norm(snap.jacobian_dense - fd) / np.linalg.norm(fd)
-        worst = max(worst, err)
+    worst = max(rel_err(*lemma1_jacobian_vs_fd(
+        random_prior(p, p), small_task(p, n=2 * p, seed=p)))
+        for p in (2, 4, 8))
     _report(1, "implicit response Jacobian matches finite differences",
             worst <= 1e-4, f"worst rel err {worst:.2e} <= 1e-4")
 
@@ -126,16 +105,9 @@ def test_criterion_3_unrolled_equals_fd():
     model = LinearGaussianModel(4)
     data = small_task(4, seed=6)
     prior = random_prior(4, 6)
-    spec = MetaLossSpec()
-    worst = 0.0
-    for k in (1, 5, 20):
-        cfg = InnerConfig(steps=k, lr=0.01, record_trace=True)
-        _, trace = run_inner_gd(model, data, prior, cfg)
-        got = unrolled_meta_gradient(model, data, trace, prior, spec)
-        want = fd_meta_gradient(model, data, prior, cfg, spec)
-        err = np.linalg.norm(got.concat_log() - want.concat_log()) / \
-            np.linalg.norm(want.concat_log())
-        worst = max(worst, err)
+    worst = max(rel_err(*unrolled_vs_fd(
+        model, data, prior, InnerConfig(steps=k, lr=0.01, record_trace=True),
+        MetaLossSpec())) for k in (1, 5, 20))
     _report(3, "reverse sweep matches finite differences through the unroll",
             worst <= 1e-5, f"worst rel err {worst:.2e} <= 1e-5")
 
@@ -226,27 +198,9 @@ def test_criterion_6_backward_time_scaling():
 def test_criterion_7_frozen_variance_reduction():
     p = 4
     lam = 2.5
-    data = small_task(p, n=8, seed=17)
     prior = imaml_prior(p, np.random.default_rng(17).normal(size=p), lam)
-    model = LinearGaussianModel(p)
-    v_fix = VariationalParams.from_prior(prior)
-    g_tr = model.nll_grad(v_fix, data, "train")
-    jac = np.zeros((p, p))
-    for j in range(p):
-        rhs = TangentVector(np.eye(p)[j], np.zeros(p))
-
-        def mv(t):
-            out = h_matvec(model, data, v_fix, prior,
-                           TangentVector(t.wrt_mean, np.zeros(p)),
-                           grad_var_tr=g_tr.wrt_var)
-            return TangentVector(out.wrt_mean, t.wrt_var)
-
-        u, _, _ = conjugate_gradient(mv, rhs,
-                                     CgConfig(max_iters=4 * p, rel_tol=0.0))
-        jac[:, j] = u.wrt_mean / prior.var
-    hess_m = data.x_tr @ data.x_tr.T / data.noise_sigma ** 2
-    dense = np.linalg.inv(hess_m / lam + np.eye(p))
-    err = np.linalg.norm(jac - dense) / np.linalg.norm(dense)
+    err = rel_err(*imaml_jacobian_vs_dense(
+        LinearGaussianModel(p), small_task(p, n=8, seed=17), prior, lam))
     _report(7, "frozen-isotropic-variance mean-block Jacobian equals the "
                "ridge-style dense inverse", err <= 1e-10,
             f"rel err {err:.2e} <= 1e-10")

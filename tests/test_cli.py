@@ -153,6 +153,17 @@ class TestTrain:
         assert (tmp_path / "checkpoint.json").read_bytes() == ckpt
         assert not (tmp_path / "loss.csv").exists()
 
+    def test_resume_from_another_dimension_is_refused(self, tmp_path, capsys):
+        common = ["--out", str(tmp_path), "--set", "n_tasks=4"]
+        assert main(["train", "--set", "iterations=1"] + common) == 0
+        ckpt = (tmp_path / "checkpoint.json").read_bytes()
+        loss = (tmp_path / "loss.csv").read_bytes()
+        assert main(["train", "--set", "iterations=2", "--set", "dim=8",
+                     "--set", "n_tr=8"] + common) == 2
+        assert "dimension" in capsys.readouterr().err
+        assert (tmp_path / "checkpoint.json").read_bytes() == ckpt
+        assert (tmp_path / "loss.csv").read_bytes() == loss
+
     def test_blob_dataset_runs(self, tmp_path):
         rc = main(["train", "--out", str(tmp_path), "--set", "dataset=blob",
                    "--set", "iterations=2", "--set", "n_tasks=4",
@@ -215,6 +226,21 @@ class TestCalibrationCommand:
         assert report["n_bins"] == 10
         assert report["n"] == 2 * 5 * 10  # tasks x classes x shots_val
 
+    def test_non_checkpoint_files_are_refused(self, tmp_path, capsys):
+        # a loss.csv is not a checkpoint; a linear prior does not fit the MLP
+        train_dir = tmp_path / "train"
+        assert main(["train", "--out", str(train_dir), "--set", "iterations=1",
+                     "--set", "n_tasks=4"]) == 0
+        before = {p.name: p.read_bytes() for p in train_dir.iterdir()}
+        for name in ("loss.csv", "checkpoint.json"):
+            out = tmp_path / name
+            assert main(["calibration", "--out", str(out),
+                         "--set", f"checkpoint={train_dir / name}",
+                         "--set", "n_tasks=2", "--set", "hidden=8"]) == 2
+            assert "config key 'checkpoint'" in capsys.readouterr().err
+            assert list(out.iterdir()) == []
+        assert {p.name: p.read_bytes() for p in train_dir.iterdir()} == before
+
 
 class TestVerifyCommand:
     def test_passes_and_writes_report(self, tmp_path):
@@ -222,12 +248,37 @@ class TestVerifyCommand:
         assert rc == 0
         report = json.loads((tmp_path / "verify_report.json").read_text())
         assert report["passed"] is True
-        names = {c["name"] for c in report["checks"]}
-        assert "variance_factor_discrepancy_demo" in names
-        assert any(n.startswith("lemma1_jacobian_vs_fd") for n in names)
+        assert [(c["name"], c["tolerance"]) for c in report["checks"]] == \
+            PINNED_CHECKS
         for check in report["checks"]:
             assert {"name", "measured", "tolerance", "passed"} <= set(check)
 
+
+# The verify report's checks, in order, with their tolerances.
+PINNED_CHECKS = [
+    ("kl_zero_at_equality_p1", 1e-12), ("kl_zero_at_equality_p2", 1e-12),
+    ("kl_zero_at_equality_p8", 1e-12), ("kl_zero_at_equality_p32", 1e-12),
+    ("kl_nonnegative", 1e-12),
+    ("kl_grad_vs_fd_p1", 1e-6), ("kl_grad_vs_fd_p2", 1e-6),
+    ("kl_grad_vs_fd_p8", 1e-6), ("kl_grad_vs_fd_p32", 1e-6),
+    ("log_chain_rule_vs_fd", 1e-6),
+    ("linear_grad_vs_fd", 1e-6), ("linear_hvp_vs_dense_fd", 1e-6),
+    ("cg_vs_dense_solve_p6", 1e-8), ("cg_vs_dense_solve_p16", 1e-8),
+    ("stationarity_at_closed_form", 1e-8),
+    ("posterior_variance_contraction", 1e-15),
+    ("variance_factor_discrepancy_demo", 1e-8),
+    ("inner_objective_descent", 1e-12),
+    ("lemma1_jacobian_vs_fd_p2", 1e-4), ("lemma1_jacobian_vs_fd_p4", 1e-4),
+    ("lemma1_jacobian_vs_fd_p8", 1e-4),
+    ("h_matvec_vs_dense", 1e-10),
+    ("unrolled_hvp_count_equals_k", 0.0),
+    ("unrolled_vs_fd_through_unroll", 1e-5),
+    ("implicit_vs_dense_oracle", 1e-8),
+    ("implicit_hvp_equals_cg_iters_k1", 0.0),
+    ("implicit_hvp_equals_cg_iters_k100", 0.0),
+    ("implicit_cost_invariant_in_k", 0.0),
+    ("imaml_reduction_vs_dense", 1e-10),
+]
 
 # Every command's resolved default config, as its manifest records it.
 PINNED_DEFAULTS = {

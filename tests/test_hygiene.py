@@ -1,7 +1,9 @@
-"""Source hygiene: every module-level import in the package is used, and no
-function imports anything (imports live at the top of the module).
+"""Source hygiene: every module-level import in the package and in the tests
+is used, and no function imports anything (imports live at the top of the
+module).
 
-``__init__.py`` is exempt: its imports are the package's public re-exports.
+The package's ``__init__.py`` is exempt: its imports are the package's public
+re-exports.
 """
 
 import ast
@@ -9,8 +11,10 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "bayesmeta"
-MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "bayesmeta"
+MODULES = (sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+           + sorted((ROOT / "tests").glob("*.py")))
 
 
 def _bound_names(node):

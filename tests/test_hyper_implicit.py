@@ -1,52 +1,35 @@
 """Implicit-path tests: H-matvec vs dense assembly, CG vs dense solves,
 meta-gradient vs the dense oracle, Jacobian vs finite differences, the
-frozen-variance reduction, and exact cost accounting."""
+frozen-variance mask, and exact cost accounting. The oracle comparisons
+come from bayesmeta.verify."""
 
 import numpy as np
 import pytest
 
 from bayesmeta import (CgConfig, InnerConfig, LinearGaussianModel,
                        MetaLossSpec, NegativeCurvatureError, PriorParams,
-                       TangentVector, TaskData, VariationalParams, apply_g,
-                       closed_form_linear_optimum, conjugate_gradient,
-                       dense_snapshot, fd_jacobian_of_optimum, h_matvec,
-                       imaml_prior, implicit_meta_gradient, nrmse,
-                       oracle_dense_g, oracle_dense_h, oracle_meta_gradient,
-                       run_inner_gd)
-
-
-def small_task(p=3, n=6, seed=0, sigma=0.3):
-    rng = np.random.default_rng(seed)
-    x = rng.normal(size=(p, n))
-    theta = rng.normal(size=p)
-    return TaskData(x_tr=x, y_tr=x.T @ theta + sigma * rng.normal(size=n),
-                    x_val=rng.normal(size=(p, n)), y_val=rng.normal(size=n),
-                    noise_sigma=sigma)
-
-
-def random_prior(p, seed=0):
-    rng = np.random.default_rng(seed)
-    return PriorParams(rng.normal(size=p), rng.uniform(-1, 0.5, p))
+                       TangentVector, apply_g, closed_form_linear_optimum,
+                       conjugate_gradient, h_matvec, imaml_prior,
+                       implicit_meta_gradient, meta_loss_grads, nrmse,
+                       oracle_dense_g, oracle_meta_gradient, run_inner_gd)
+from bayesmeta.verify import (cg_vs_dense_solve, h_matvec_vs_dense,
+                              lemma1_jacobian_vs_fd, rel_err)
+from helpers import random_prior, small_task
 
 
 class TestHMatvec:
     def test_probes_reconstruct_dense_h(self):
         p = 3
-        data = small_task(p, seed=1)
+        data = small_task(p, n=6, seed=1)
         prior = random_prior(p, 1)
-        model = LinearGaussianModel(p)
         v = closed_form_linear_optimum(prior, data)
-        dense = oracle_dense_h(prior, data, v)
-        probed = np.column_stack([
-            h_matvec(model, data, v, prior,
-                     TangentVector.from_concat(np.eye(2 * p)[j])).concat()
-            for j in range(2 * p)])
-        assert np.linalg.norm(probed - dense) <= 1e-10 * np.linalg.norm(dense)
+        assert rel_err(*h_matvec_vs_dense(LinearGaussianModel(p), data, v,
+                                          prior)) <= 1e-10
 
     def test_variance_block_at_optimum(self):
         # at the stationary point the variance diagonal equals d*^-2 / 2
         p = 3
-        data = small_task(p, seed=2)
+        data = small_task(p, n=6, seed=2)
         prior = random_prior(p, 2)
         model = LinearGaussianModel(p)
         v_star = closed_form_linear_optimum(prior, data)
@@ -60,7 +43,7 @@ class TestHMatvec:
 
     def test_zero_vector_counts_one_hvp(self):
         p = 3
-        data = small_task(p, seed=3)
+        data = small_task(p, n=6, seed=3)
         model = LinearGaussianModel(p)
         before = model.hvp_calls
         out = h_matvec(model, data, closed_form_linear_optimum(
@@ -71,7 +54,7 @@ class TestHMatvec:
 
     def test_symmetry_as_bilinear_form(self):
         p = 4
-        data = small_task(p, seed=4)
+        data = small_task(p, n=6, seed=4)
         prior = random_prior(p, 4)
         model = LinearGaussianModel(p)
         v = closed_form_linear_optimum(prior, data)
@@ -100,12 +83,7 @@ class TestConjugateGradient:
         a = rng.normal(size=(n, n))
         spd = a @ a.T + n * np.eye(n)
         b = rng.normal(size=n)
-        x, iters, _ = conjugate_gradient(
-            lambda t: TangentVector.from_concat(spd @ t.concat()),
-            TangentVector.from_concat(b),
-            CgConfig(max_iters=2 * n, rel_tol=0.0))
-        ref = np.linalg.solve(spd, b)
-        assert np.linalg.norm(x.concat() - ref) <= 1e-8 * np.linalg.norm(ref)
+        assert rel_err(*cg_vs_dense_solve(spd, b, 2 * n)) <= 1e-8
 
     @pytest.mark.parametrize("p", [4, 8, 16])
     def test_spd_systems_up_to_p16(self, p):
@@ -114,12 +92,7 @@ class TestConjugateGradient:
         a = rng.normal(size=(n, n))
         spd = a @ a.T + n * np.eye(n)
         b = rng.normal(size=n)
-        x, _, _ = conjugate_gradient(
-            lambda t: TangentVector.from_concat(spd @ t.concat()),
-            TangentVector.from_concat(b),
-            CgConfig(max_iters=n, rel_tol=0.0))
-        ref = np.linalg.solve(spd, b)
-        assert np.linalg.norm(x.concat() - ref) <= 1e-8 * np.linalg.norm(ref)
+        assert rel_err(*cg_vs_dense_solve(spd, b, n)) <= 1e-8
 
     def test_budget_honored_and_error_decreases(self):
         rng = np.random.default_rng(7)
@@ -187,7 +160,7 @@ class TestApplyG:
 
     def test_matches_dense_g(self):
         p = 4
-        data = small_task(p, seed=9)
+        data = small_task(p, n=6, seed=9)
         prior = random_prior(p, 9)
         model = LinearGaussianModel(p)
         v = closed_form_linear_optimum(prior, data)
@@ -219,15 +192,11 @@ class TestImplicitMetaGradient:
         # prior-to-optimum map
         data = small_task(p, n=3 * p, seed=12 + p)
         prior = random_prior(p, 12 + p)
-        snap = dense_snapshot(prior, data)
-        fd = fd_jacobian_of_optimum(prior, data)
-        err = np.linalg.norm(snap.jacobian_dense - fd) / np.linalg.norm(fd)
-        assert err <= 1e-4
+        assert rel_err(*lemma1_jacobian_vs_fd(prior, data)) <= 1e-4
 
     def test_grad2_zero_for_nll_only_loss(self):
-        from bayesmeta import meta_loss_grads
         p = 4
-        data = small_task(p, seed=13)
+        data = small_task(p, n=6, seed=13)
         prior = random_prior(p, 13)
         model = LinearGaussianModel(p)
         v = closed_form_linear_optimum(prior, data)
@@ -236,7 +205,7 @@ class TestImplicitMetaGradient:
 
     def test_cost_invariant_in_inner_steps(self):
         p = 4
-        data = small_task(p, seed=14)
+        data = small_task(p, n=6, seed=14)
         prior = random_prior(p, 14)
         model = LinearGaussianModel(p)
         spec = MetaLossSpec()
@@ -251,7 +220,7 @@ class TestImplicitMetaGradient:
 
     def test_hvp_calls_bounded_by_budget(self):
         p = 4
-        data = small_task(p, seed=15)
+        data = small_task(p, n=6, seed=15)
         prior = random_prior(p, 15)
         model = LinearGaussianModel(p)
         v = closed_form_linear_optimum(prior, data)
@@ -262,7 +231,7 @@ class TestImplicitMetaGradient:
 
     def test_log_coordinate_consistency(self):
         p = 4
-        data = small_task(p, seed=16)
+        data = small_task(p, n=6, seed=16)
         prior = random_prior(p, 16)
         model = LinearGaussianModel(p)
         v = closed_form_linear_optimum(prior, data)
@@ -272,35 +241,9 @@ class TestImplicitMetaGradient:
 
 
 class TestFrozenVarianceReduction:
-    def test_mean_block_jacobian_matches_dense_inverse(self):
-        p = 4
-        lam = 2.5
-        data = small_task(p, n=8, seed=17)
-        rng = np.random.default_rng(17)
-        prior = imaml_prior(p, rng.normal(size=p), lam)
-        model = LinearGaussianModel(p)
-        v_fix = VariationalParams.from_prior(prior)
-        g_tr = model.nll_grad(v_fix, data, "train")
-        jac = np.zeros((p, p))
-        for j in range(p):
-            rhs = TangentVector(np.eye(p)[j], np.zeros(p))
-
-            def mv(t):
-                out = h_matvec(model, data, v_fix, prior,
-                               TangentVector(t.wrt_mean, np.zeros(p)),
-                               grad_var_tr=g_tr.wrt_var)
-                return TangentVector(out.wrt_mean, t.wrt_var)
-
-            u, _, _ = conjugate_gradient(mv, rhs,
-                                         CgConfig(max_iters=4 * p, rel_tol=0.0))
-            jac[:, j] = u.wrt_mean / prior.var
-        hess_m = data.x_tr @ data.x_tr.T / data.noise_sigma ** 2
-        dense = np.linalg.inv(hess_m / lam + np.eye(p))
-        assert np.linalg.norm(jac - dense) <= 1e-10 * np.linalg.norm(dense)
-
     def test_masked_gradient_has_zero_variance_block(self):
         p = 4
-        data = small_task(p, seed=18)
+        data = small_task(p, n=6, seed=18)
         prior = imaml_prior(p, np.zeros(p), 2.0)
         model = LinearGaussianModel(p)
         v, _ = run_inner_gd(model, data, prior, InnerConfig(steps=50, lr=0.01),

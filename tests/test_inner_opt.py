@@ -1,17 +1,17 @@
 """Inner-loop tests: GD fixed point vs the closed form, hand-checked single
 step, stationarity, contraction, monotone descent, divergence guard."""
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
 from bayesmeta import (InnerConfig, InnerDivergenceError, LinearGaussianModel,
-                       PriorParams, TaskGenSpec, VariationalParams,
+                       PriorParams, TaskData, TaskGenSpec,
                        closed_form_linear_optimum, generate_linear_tasks,
-                       kl_diag_gaussian, run_inner_gd, standard_normal)
-from bayesmeta.inner_opt import inner_objective_grad, inner_objective_value
-from bayesmeta.vi_core import derive_seed, raw_to_log_grad
+                       run_inner_gd, standard_normal)
+from bayesmeta.inner_opt import inner_objective_value
+from bayesmeta.verify import log_stationarity
+from bayesmeta.vi_core import derive_seed
+from helpers import random_prior, small_task
 
 
 def paper_scale_task(seed=0, p=32):
@@ -21,27 +21,12 @@ def paper_scale_task(seed=0, p=32):
     return tasks[0]
 
 
-def small_task(p=2, n=5, seed=0, sigma=0.3):
-    rng = np.random.default_rng(seed)
-    x = rng.normal(size=(p, n))
-    theta = rng.normal(size=p)
-    from bayesmeta import TaskData
-    return TaskData(x_tr=x, y_tr=x.T @ theta + sigma * rng.normal(size=n),
-                    x_val=rng.normal(size=(p, n)),
-                    y_val=rng.normal(size=n), noise_sigma=sigma)
-
-
-def random_prior(p, seed=0):
-    rng = np.random.default_rng(seed)
-    return PriorParams(rng.normal(size=p), rng.uniform(-1, 0.5, p))
-
-
 class TestRunInnerGd:
     def test_zero_steps_returns_prior(self):
         p = 4
         prior = random_prior(p, 1)
         model = LinearGaussianModel(p)
-        v, trace = run_inner_gd(model, small_task(p, seed=1), prior,
+        v, trace = run_inner_gd(model, small_task(p, n=5, seed=1), prior,
                                 InnerConfig(steps=0, record_trace=True))
         assert np.array_equal(v.mean, prior.mean)
         assert np.array_equal(v.log_var, prior.log_var)
@@ -54,7 +39,6 @@ class TestRunInnerGd:
         #   var:  x^2/(2 s2) + (1/d_prior - 1/d)/2 = 2 + 0 = 2
         # log-var gradient = d * 2 = 2
         # v1 = (0 - 0.1*(-2), 0 - 0.1*2) = (0.2, -0.2)
-        from bayesmeta import TaskData
         data = TaskData(x_tr=[[2.0]], y_tr=[1.0], x_val=[[1.0]], y_val=[0.0],
                         noise_sigma=1.0)
         prior = PriorParams(np.zeros(1), np.zeros(1))
@@ -76,7 +60,7 @@ class TestRunInnerGd:
 
     def test_trace_determinism(self):
         p = 3
-        data = small_task(p, seed=4)
+        data = small_task(p, n=5, seed=4)
         prior = random_prior(p, 4)
         model = LinearGaussianModel(p)
         cfg = InnerConfig(steps=10, lr=0.01, record_trace=True)
@@ -90,8 +74,9 @@ class TestRunInnerGd:
     def test_trace_starts_at_prior_and_has_k_plus_1_iterates(self):
         p = 3
         prior = random_prior(p, 5)
-        _, trace = run_inner_gd(LinearGaussianModel(p), small_task(p, seed=5),
-                                prior, InnerConfig(steps=7, record_trace=True))
+        _, trace = run_inner_gd(LinearGaussianModel(p),
+                                small_task(p, n=5, seed=5), prior,
+                                InnerConfig(steps=7, record_trace=True))
         assert len(trace.iterates) == 8
         assert np.array_equal(trace.iterates[0].mean, prior.mean)
         assert np.array_equal(trace.iterates[0].log_var, prior.log_var)
@@ -110,7 +95,6 @@ class TestRunInnerGd:
             "objective increased: step-size problem, not a gradient bug"
 
     def test_divergence_guard_names_step(self):
-        from bayesmeta import TaskData
         data = TaskData(x_tr=[[1e6]], y_tr=[1.0], x_val=[[1.0]], y_val=[0.0],
                         noise_sigma=1e-3)
         prior = PriorParams(np.ones(1), np.zeros(1))
@@ -123,7 +107,7 @@ class TestRunInnerGd:
     def test_freeze_log_var_keeps_variance(self):
         p = 3
         prior = random_prior(p, 8)
-        v, _ = run_inner_gd(LinearGaussianModel(p), small_task(p, seed=8),
+        v, _ = run_inner_gd(LinearGaussianModel(p), small_task(p, n=5, seed=8),
                             prior, InnerConfig(steps=20, lr=0.01),
                             freeze_log_var=True)
         assert np.array_equal(v.log_var, prior.log_var)
@@ -131,7 +115,6 @@ class TestRunInnerGd:
 
 class TestClosedForm:
     def test_no_data_returns_prior(self):
-        from bayesmeta import TaskData
         p = 3
         prior = random_prior(p, 9)
         data = TaskData(x_tr=np.zeros((p, 0)), y_tr=np.zeros(0),
@@ -141,10 +124,9 @@ class TestClosedForm:
         assert np.allclose(v.var, prior.var, rtol=1e-12)
 
     def test_uninformative_likelihood_returns_prior(self):
-        from bayesmeta import TaskData
         p = 3
         prior = random_prior(p, 10)
-        base = small_task(p, seed=10)
+        base = small_task(p, n=5, seed=10)
         data = TaskData(x_tr=base.x_tr, y_tr=base.y_tr, x_val=base.x_val,
                         y_val=base.y_val, noise_sigma=1e9)
         v = closed_form_linear_optimum(prior, data)
@@ -168,12 +150,8 @@ class TestClosedForm:
         prior = random_prior(p, 12)
         model = LinearGaussianModel(p)
         v_star = closed_form_linear_optimum(prior, data)
-        g = inner_objective_grad(model, data, v_star, prior, None, 0)
-        g_log = np.concatenate([g.wrt_mean,
-                                raw_to_log_grad(g.wrt_var, v_star.var)])
-        scale = 1.0 + np.linalg.norm(np.concatenate([v_star.mean,
-                                                     v_star.log_var]))
-        assert np.linalg.norm(g_log) <= 1e-8 * scale
+        residual, scale = log_stationarity(model, data, v_star, prior)
+        assert residual <= 1e-8 * scale
 
     def test_variance_contraction(self):
         for seed in range(10):
@@ -192,15 +170,10 @@ class TestClosedForm:
         model = LinearGaussianModel(p)
         v_alt = closed_form_linear_optimum(prior, data,
                                            printed_variance_factor=True)
-        g = inner_objective_grad(model, data, v_alt, prior, None, 0)
-        g_log = np.concatenate([g.wrt_mean,
-                                raw_to_log_grad(g.wrt_var, v_alt.var)])
-        scale = 1.0 + np.linalg.norm(np.concatenate([v_alt.mean,
-                                                     v_alt.log_var]))
-        assert np.linalg.norm(g_log) > 1e-3 * scale
+        residual, scale = log_stationarity(model, data, v_alt, prior)
+        assert residual > 1e-3 * scale
 
     def test_rejects_classification_tasks(self):
-        from bayesmeta import TaskData
         data = TaskData(x_tr=np.ones((2, 3)), y_tr=np.zeros(3),
                         x_val=np.ones((2, 1)), y_val=np.zeros(1),
                         task_kind="classification")

@@ -4,25 +4,12 @@ the dense meta-gradient, and the NRMSE metric."""
 import numpy as np
 import pytest
 
-from bayesmeta import (CgConfig, InnerConfig, LinearGaussianModel, MetaGradient,
+from bayesmeta import (InnerConfig, LinearGaussianModel, MetaGradient,
                        MetaLossSpec, PriorParams, TaskData,
                        closed_form_linear_optimum, dense_snapshot,
-                       fd_meta_gradient, nrmse, oracle_dense_g, oracle_dense_h,
+                       fd_meta_gradient, nrmse, oracle_dense_h,
                        oracle_meta_gradient)
-
-
-def small_task(p=4, n=8, seed=0, sigma=0.3):
-    rng = np.random.default_rng(seed)
-    x = rng.normal(size=(p, n))
-    theta = rng.normal(size=p)
-    return TaskData(x_tr=x, y_tr=x.T @ theta + sigma * rng.normal(size=n),
-                    x_val=rng.normal(size=(p, n)), y_val=rng.normal(size=n),
-                    noise_sigma=sigma)
-
-
-def random_prior(p, seed=0):
-    rng = np.random.default_rng(seed)
-    return PriorParams(rng.normal(size=p), rng.uniform(-1, 0.5, p))
+from helpers import random_prior, small_task
 
 
 class TestDenseAssembly:

@@ -1,11 +1,13 @@
 """Outer-loop tests: task generation contracts, the meta-update's exactness
 properties, cost accounting per batch, determinism, and checkpoints."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from bayesmeta import (BlobTaskSpec, CgConfig, InnerConfig, LinearGaussianModel,
-                       MetaConfig, MetaLossSpec, PriorParams, TaskGenSpec,
+                       MetaConfig, PriorParams, TaskGenSpec,
                        checkpoint_from_json, checkpoint_to_json,
                        generate_blob_tasks, generate_linear_tasks, imaml_prior,
                        meta_step, run_inner_gd, sample_batch,
@@ -110,7 +112,6 @@ class TestMetaStep:
 
     def test_meta_lr_equivariance(self):
         oracle, tasks, prior, cfg = linear_setup()
-        from dataclasses import replace
         new1, _ = meta_step(prior, oracle, tasks, [0, 2], cfg, 0)
         cfg3 = replace(cfg, meta_lr=3 * cfg.meta_lr)
         new3, _ = meta_step(prior, oracle, tasks, [0, 2], cfg3, 0)

@@ -1,5 +1,6 @@
 """Oracle-interface tests: closed-form linear values against Monte Carlo,
-MLP gradients/HVPs against finite differences and the linear closed form."""
+gradients and HVPs against finite differences (bayesmeta.verify's checks),
+and the MLP against the linear closed form."""
 
 import threading
 
@@ -8,15 +9,8 @@ import pytest
 
 from bayesmeta import (LinearGaussianModel, MLPModel, TangentVector, TaskData,
                        VariationalParams, mlp_param_count, sample_params)
-
-
-def make_regression_task(p=4, n=8, seed=0, sigma=0.3):
-    rng = np.random.default_rng(seed)
-    x = rng.normal(size=(p, n))
-    theta = rng.normal(size=p)
-    y = x.T @ theta + sigma * rng.normal(size=n)
-    return TaskData(x_tr=x, y_tr=y, x_val=rng.normal(size=(p, n)),
-                    y_val=rng.normal(size=n), noise_sigma=sigma)
+from bayesmeta.verify import nll_grad_vs_fd, nll_hvp_vs_dense_fd, rel_err
+from helpers import small_task
 
 
 def random_v(p, seed, var_lo=0.2, var_hi=2.0):
@@ -61,7 +55,7 @@ class TestLinearValue:
 
     def test_matches_monte_carlo(self):
         p, n = 4, 8
-        data = make_regression_task(p, n, seed=2)
+        data = small_task(p, n, seed=2)
         model = LinearGaussianModel(p)
         v = random_v(p, 3)
         closed = model.expected_nll(v, data, "train")
@@ -74,7 +68,7 @@ class TestLinearValue:
 
     def test_sigma_scaling(self):
         p = 3
-        data = make_regression_task(p, 5, seed=4)
+        data = small_task(p, 5, seed=4)
         model = LinearGaussianModel(p)
         v = random_v(p, 5)
         base = model.expected_nll(v, data, "train")
@@ -95,35 +89,15 @@ class TestLinearGrad:
     @pytest.mark.parametrize("seed", range(20))
     def test_matches_finite_differences(self, seed):
         p = 4
-        data = make_regression_task(p, 8, seed=seed)
+        data = small_task(p, 8, seed=seed)
         model = LinearGaussianModel(p)
         v = random_v(p, 1000 + seed)
-        g = model.nll_grad(v, data, "train")
-        numeric = np.zeros(2 * p)
-        eps = 1e-7
-        for i in range(p):
-            h = eps * (1 + abs(v.mean[i]))
-            e = np.zeros(p)
-            e[i] = h
-            numeric[i] = (model.expected_nll(
-                VariationalParams.from_var(v.mean + e, v.var), data, "train")
-                - model.expected_nll(
-                VariationalParams.from_var(v.mean - e, v.var), data, "train")
-            ) / (2 * h)
-            h = eps * v.var[i]
-            e = np.zeros(p)
-            e[i] = h
-            numeric[p + i] = (model.expected_nll(
-                VariationalParams.from_var(v.mean, v.var + e), data, "train")
-                - model.expected_nll(
-                VariationalParams.from_var(v.mean, v.var - e), data, "train")
-            ) / (2 * h)
-        err = np.linalg.norm(g.concat() - numeric) / np.linalg.norm(numeric)
+        err = rel_err(*nll_grad_vs_fd(model, data, v))
         assert err <= 1e-8 * 100  # FD oracle noise floor
 
     def test_variance_gradient_constant_in_v(self):
         p = 4
-        data = make_regression_task(p, 8, seed=7)
+        data = small_task(p, 8, seed=7)
         model = LinearGaussianModel(p)
         g1 = model.nll_grad(random_v(p, 1), data, "train")
         g2 = model.nll_grad(random_v(p, 2), data, "train")
@@ -133,40 +107,21 @@ class TestLinearGrad:
 class TestLinearHvp:
     def test_zero_vector(self):
         p = 3
-        data = make_regression_task(p, 5, seed=8)
+        data = small_task(p, 5, seed=8)
         out = LinearGaussianModel(p).nll_hvp(random_v(p, 9), data, "train",
                                              TangentVector.zeros(p))
         assert np.allclose(out.concat(), 0.0)
 
     def test_reconstructs_dense_fd_hessian(self):
         p = 3
-        data = make_regression_task(p, 6, seed=10)
+        data = small_task(p, 6, seed=10)
         model = LinearGaussianModel(p)
         v = random_v(p, 11)
-        probed = np.column_stack([
-            model.nll_hvp(v, data, "train",
-                          TangentVector.from_concat(np.eye(2 * p)[j])).concat()
-            for j in range(2 * p)])
-
-        def f(vec):
-            return model.expected_nll(
-                VariationalParams.from_var(vec[:p], vec[p:]), data, "train")
-
-        x0 = np.concatenate([v.mean, v.var])
-        eps = 1e-3  # quadratic objective: large step, no truncation bias
-        dense = np.zeros((2 * p, 2 * p))
-        for i in range(2 * p):
-            for j in range(2 * p):
-                ei = eps * np.eye(2 * p)[i]
-                ej = eps * np.eye(2 * p)[j]
-                dense[i, j] = (f(x0 + ei + ej) - f(x0 + ei - ej)
-                               - f(x0 - ei + ej) + f(x0 - ei - ej)) / (4 * eps ** 2)
-        assert np.linalg.norm(probed - dense) <= 1e-6 * max(
-            np.linalg.norm(dense), 1.0)
+        assert rel_err(*nll_hvp_vs_dense_fd(model, data, v), floor=1.0) <= 1e-6
 
     def test_variance_only_direction_maps_to_zero(self):
         p = 3
-        data = make_regression_task(p, 5, seed=12)
+        data = small_task(p, 5, seed=12)
         out = LinearGaussianModel(p).nll_hvp(
             random_v(p, 13), data, "train",
             TangentVector(np.zeros(p), np.ones(p)))
@@ -242,30 +197,8 @@ class TestMlpGrad:
     def test_matches_fd_with_common_random_numbers(self, kind):
         model, data, v = make_mlp_instance([2, 4, 4, 1] if kind == "regression"
                                            else [2, 4, 3], seed=5, kind=kind)
-        mc, seed = 8, 17
-        g = model.nll_grad(v, data, "train", mc_budget=mc, seed=seed)
-        numeric = np.zeros(2 * model.dim)
-        eps = 1e-6
-        for i in range(model.dim):
-            h = eps * (1 + abs(v.mean[i]))
-            e = np.zeros(model.dim)
-            e[i] = h
-            numeric[i] = (model.expected_nll(
-                VariationalParams.from_var(v.mean + e, v.var), data, "train",
-                mc, seed)
-                - model.expected_nll(
-                VariationalParams.from_var(v.mean - e, v.var), data, "train",
-                mc, seed)) / (2 * h)
-            h = eps * v.var[i]
-            e = np.zeros(model.dim)
-            e[i] = h
-            numeric[model.dim + i] = (model.expected_nll(
-                VariationalParams.from_var(v.mean, v.var + e), data, "train",
-                mc, seed)
-                - model.expected_nll(
-                VariationalParams.from_var(v.mean, v.var - e), data, "train",
-                mc, seed)) / (2 * h)
-        err = np.linalg.norm(g.concat() - numeric) / np.linalg.norm(numeric)
+        err = rel_err(*nll_grad_vs_fd(model, data, v, eps=1e-6, mc_budget=8,
+                                      seed=17))
         assert err <= 1e-5
 
     def test_collapsed_posterior_mean_block_is_backprop(self):
@@ -384,7 +317,7 @@ class TestMlpHvp:
 class TestCounters:
     def test_hvp_counter_exact(self):
         p = 3
-        data = make_regression_task(p, 5, seed=20)
+        data = small_task(p, 5, seed=20)
         model = LinearGaussianModel(p)
         v = random_v(p, 21)
         for expected in range(1, 6):
@@ -393,7 +326,7 @@ class TestCounters:
 
     def test_counter_thread_safety(self):
         p = 3
-        data = make_regression_task(p, 5, seed=22)
+        data = small_task(p, 5, seed=22)
         model = LinearGaussianModel(p)
         v = random_v(p, 23)
 

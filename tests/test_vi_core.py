@@ -1,5 +1,6 @@
 """Distribution-layer tests: KL values against quadrature, gradients against
-finite differences, sampling determinism and moments."""
+finite differences (bayesmeta.verify's checks), sampling determinism and
+moments."""
 
 import sys
 import threading
@@ -14,6 +15,7 @@ from scipy.integrate import quad
 from bayesmeta import (PriorParams, VariationalParams, derive_seed,
                        kl_diag_gaussian, kl_grad, raw_to_log_grad,
                        sample_params, standard_normal)
+from bayesmeta.verify import kl_grad_vs_fd, log_chain_rule_vs_fd, rel_err
 
 
 def gaussian_kl_quadrature(m_q, d_q, m_p, d_p):
@@ -101,25 +103,7 @@ class TestKlGrad:
     @pytest.mark.parametrize("p", [1, 2, 8, 32])
     def test_matches_finite_differences(self, p):
         q, prior = random_pair(p, 100 + p)
-        g_q, g_pr = kl_grad(q, prior)
-        eps = 1e-6
-
-        def kl_at(qm, qd, pm, pd):
-            return kl_diag_gaussian(VariationalParams.from_var(qm, qd),
-                                    PriorParams.from_var(pm, pd))
-
-        base = [q.mean, q.var, prior.mean, prior.var]
-        analytic = np.concatenate([g_q.wrt_mean, g_q.wrt_var,
-                                   g_pr.wrt_mean, g_pr.wrt_var])
-        numeric = np.zeros(4 * p)
-        for block in range(4):
-            for i in range(p):
-                h = eps * (1 + abs(base[block][i]))
-                plus = [a.copy() for a in base]
-                minus = [a.copy() for a in base]
-                plus[block][i] += h
-                minus[block][i] -= h
-                numeric[block * p + i] = (kl_at(*plus) - kl_at(*minus)) / (2 * h)
+        analytic, numeric = kl_grad_vs_fd(q, prior)
         assert np.linalg.norm(analytic - numeric) <= 1e-6 * (
             1 + np.linalg.norm(numeric))
 
@@ -193,23 +177,10 @@ class TestLogCoordinates:
 
     def test_matches_fd_on_quadratic(self):
         rng = np.random.default_rng(0)
-        p = 5
-        d = rng.uniform(0.5, 2.0, p)
-        a = rng.normal(size=p)
-
-        def f(dv):
-            return float(np.sum(a * dv ** 2))
-
-        grad_d = 2 * a * d
-        analytic = raw_to_log_grad(grad_d, d)
-        ell = np.log(d)
-        numeric = np.zeros(p)
-        for i in range(p):
-            h = 1e-7
-            e = np.zeros(p)
-            e[i] = h
-            numeric[i] = (f(np.exp(ell + e)) - f(np.exp(ell - e))) / (2 * h)
-        assert np.linalg.norm(analytic - numeric) <= 1e-6 * np.linalg.norm(numeric)
+        d = rng.uniform(0.5, 2.0, 5)
+        a = rng.normal(size=5)
+        assert rel_err(*log_chain_rule_vs_fd(
+            lambda dv: float(np.sum(a * dv ** 2)), 2 * a * d, d)) <= 1e-6
 
     def test_rejects_nonpositive_d(self):
         with pytest.raises(ValueError):
