@@ -3,9 +3,11 @@
 The inner update runs in w = (mean, log-variance) coordinates, so the reverse
 sweep propagates adjoints through exactly that map: one train expected-nll
 HVP per step plus analytic KL second-derivative blocks and the analytic
-theta-partials of the step. Also provides the finite-difference meta-gradient
-of the composed map theta -> L_val(inner_gd(theta), theta), the ground truth
-both paths are validated against.
+theta-partials of the step. The step's own variance gradient, which the
+log-coordinate chain rule needs, is read from the trace, not recomputed. Also
+provides the finite-difference meta-gradient of the composed map
+theta -> L_val(inner_gd(theta), theta), the ground truth both paths are
+validated against.
 """
 
 from __future__ import annotations
@@ -14,8 +16,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .inner_opt import (InnerConfig, InnerTrace, inner_objective_grad,
-                        run_inner_gd)
+from .inner_opt import InnerConfig, InnerTrace, run_inner_gd
 from .meta_loss import MetaGradient, MetaLossSpec, meta_loss_grads, meta_loss_value
 from .models import GradientOracle, TaskData
 from .vi_core import PriorParams, TangentVector
@@ -28,10 +29,11 @@ def unrolled_meta_gradient(oracle: GradientOracle, data: TaskData,
                            spec: MetaLossSpec, seed: int = 0) -> MetaGradient:
     """Backpropagate the validation meta-loss through the K recorded GD steps.
 
-    Exactly K oracle HVPs are performed (one per step); KL curvature and the
+    Exactly K oracle HVPs are performed (one per step) and no inner
+    gradient: the trace holds each step's. KL curvature and the
     prior-partials of each step are analytic.
     """
-    if trace is None or trace.iterates is None:
+    if trace is None:
         raise ValueError("unrolled gradient needs a recorded trace")
     cfg = trace.cfg
     if len(trace.step_seeds) != trace.steps:
@@ -41,7 +43,7 @@ def unrolled_meta_gradient(oracle: GradientOracle, data: TaskData,
     p = prior.dim
     d_prior = prior.var
 
-    v_final = trace.iterates[-1]
+    v_final = trace.point(k_steps)
     _, grad1, grad2 = meta_loss_grads(oracle, data, v_final, prior, spec, seed)
 
     # adjoint in (mean, log-var) coordinates at v^K
@@ -53,7 +55,7 @@ def unrolled_meta_gradient(oracle: GradientOracle, data: TaskData,
 
     hvp_before = oracle.hvp_calls
     for k in range(k_steps - 1, -1, -1):
-        v_k = trace.iterates[k]
+        v_k = trace.point(k)
         d_k = v_k.var
         step_seed = trace.step_seeds[k]
         if not np.all(np.isfinite(a_m)) or not np.all(np.isfinite(a_l)):
@@ -70,9 +72,7 @@ def unrolled_meta_gradient(oracle: GradientOracle, data: TaskData,
         hvp = oracle.nll_hvp(v_k, data, "train", u, cfg.mc_budget, step_seed)
         h_m = hvp.wrt_mean + a_m / d_prior
         h_d = hvp.wrt_var + a_l / (2.0 * d_k)
-        g_raw = inner_objective_grad(oracle, data, v_k, prior, cfg.mc_budget,
-                                     step_seed)
-        h_l = d_k * h_d + d_k * g_raw.wrt_var * a_l
+        h_l = d_k * h_d + d_k * trace.var_grads[k] * a_l
 
         a_m = a_m - alpha * h_m
         a_l = a_l - alpha * h_l

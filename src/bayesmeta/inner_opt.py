@@ -43,15 +43,29 @@ class InnerConfig:
 
 @dataclass
 class InnerTrace:
-    """Recorded iterates v^0 ... v^K plus the per-step MC seeds."""
+    """The recorded unroll, as plain arrays.
 
-    iterates: List[VariationalParams]
-    step_seeds: List[int]
+    ``iterates`` holds w^0 ... w^K as rows (mean, log-variance), shape
+    (K+1, 2p). ``var_grads`` holds the raw variance gradient of the inner
+    objective at w^0 ... w^{K-1}, shape (K, p), which the reverse sweep reuses
+    instead of recomputing. ``step_seeds`` are the per-step MC seeds (None
+    when the inner loop does not sample).
+    """
+
+    iterates: np.ndarray
+    var_grads: np.ndarray
+    step_seeds: List[Optional[int]]
     cfg: InnerConfig
 
     @property
     def steps(self) -> int:
-        return len(self.iterates) - 1
+        return self.iterates.shape[0] - 1
+
+    def point(self, k: int) -> VariationalParams:
+        """Iterate k, over views of its row."""
+        p = self.iterates.shape[1] // 2
+        return VariationalParams._unchecked(self.iterates[k, :p],
+                                            self.iterates[k, p:])
 
 
 def inner_objective_grad(oracle: GradientOracle, data: TaskData,
@@ -70,6 +84,15 @@ def inner_objective_value(oracle: GradientOracle, data: TaskData,
             + kl_diag_gaussian(v, prior))
 
 
+def inner_objective_log_grad(oracle: GradientOracle, data: TaskData,
+                             v: VariationalParams, prior: PriorParams,
+                             mc_budget, seed) -> np.ndarray:
+    """Gradient of the inner objective in (mean, log-variance) coordinates,
+    concatenated: the direction one step of :func:`run_inner_gd` descends."""
+    g = inner_objective_grad(oracle, data, v, prior, mc_budget, seed)
+    return np.concatenate([g.wrt_mean, raw_to_log_grad(g.wrt_var, v.var)])
+
+
 def run_inner_gd(oracle: GradientOracle, data: TaskData, prior: PriorParams,
                  cfg: InnerConfig, seed: int = 0, freeze_log_var: bool = False
                  ) -> Tuple[VariationalParams, Optional[InnerTrace]]:
@@ -77,31 +100,44 @@ def run_inner_gd(oracle: GradientOracle, data: TaskData, prior: PriorParams,
 
     ``freeze_log_var`` keeps the variance block at its initial value and
     descends only the mean block (the fixed-variance proximal special case).
+
+    A step is :func:`inner_objective_log_grad`'s arithmetic, in the same
+    order, on plain arrays: the prior's variance and its reciprocal are
+    computed once, and the divergence check validates each iterate before it
+    is handed to the oracle. Step seeds are derived only when the oracle
+    samples (``mc_budget`` set).
     """
     v = VariationalParams.from_prior(prior)
-    iterates = [v] if cfg.record_trace else None
-    step_seeds = []
-    for k in range(cfg.steps):
-        step_seed = derive_seed(seed, k)
-        step_seeds.append(step_seed)
-        g_raw = inner_objective_grad(oracle, data, v, prior, cfg.mc_budget,
-                                     step_seed)
-        new_mean = v.mean - cfg.lr * g_raw.wrt_mean
-        if freeze_log_var:
-            new_log_var = v.log_var
-        else:
-            g_log = raw_to_log_grad(g_raw.wrt_var, v.var)
-            new_log_var = v.log_var - cfg.lr * g_log
-        if (not np.all(np.isfinite(new_mean)) or not np.all(np.isfinite(new_log_var))
-                or np.abs(new_mean).max() > DIVERGENCE_LIMIT
-                or np.abs(new_log_var).max() > LOG_VAR_LIMIT):
-            raise InnerDivergenceError(k)
-        v = VariationalParams(new_mean, new_log_var)
-        if iterates is not None:
-            iterates.append(v)
+    mean, log_var = v.mean, v.log_var
+    m_prior, d_prior = prior.mean, prior.var
+    inv_d_prior = 1.0 / d_prior
+    lr, mc_budget, k_steps, p = cfg.lr, cfg.mc_budget, cfg.steps, prior.dim
+    step_seeds = ([derive_seed(seed, k) for k in range(k_steps)]
+                  if mc_budget is not None else [None] * k_steps)
     trace = None
     if cfg.record_trace:
-        trace = InnerTrace(iterates=iterates, step_seeds=step_seeds, cfg=cfg)
+        trace = InnerTrace(iterates=np.empty((k_steps + 1, 2 * p)),
+                           var_grads=np.empty((k_steps, p)),
+                           step_seeds=step_seeds, cfg=cfg)
+        trace.iterates[0] = np.concatenate([mean, log_var])
+    for k in range(k_steps):
+        d_t = np.exp(log_var)
+        g = oracle.nll_grad(v, data, "train", mc_budget, step_seeds[k])
+        # plus the q-block of kl_grad, as in inner_objective_grad
+        g_mean = g.wrt_mean + (mean - m_prior) / d_prior
+        g_var = g.wrt_var + 0.5 * (inv_d_prior - 1.0 / d_t)
+        mean = mean - lr * g_mean
+        if not freeze_log_var:
+            log_var = log_var - lr * (d_t * g_var)  # raw_to_log_grad
+        # NaN fails every comparison, so this also catches non-finite entries
+        if not (np.abs(mean).max() <= DIVERGENCE_LIMIT
+                and np.abs(log_var).max() <= LOG_VAR_LIMIT):
+            raise InnerDivergenceError(k)
+        if trace is not None:
+            trace.iterates[k + 1, :p] = mean
+            trace.iterates[k + 1, p:] = log_var
+            trace.var_grads[k] = g_var
+        v = VariationalParams._unchecked(mean, log_var)
     return v, trace
 
 

@@ -19,7 +19,7 @@ from .hyper_implicit import (CgConfig, conjugate_gradient, h_matvec,
                              implicit_meta_gradient)
 from .hyper_unrolled import fd_meta_gradient, unrolled_meta_gradient
 from .inner_opt import (InnerConfig, closed_form_linear_optimum,
-                        inner_objective_grad, inner_objective_value,
+                        inner_objective_log_grad, inner_objective_value,
                         run_inner_gd)
 from .linear_oracle import (dense_snapshot, fd_jacobian_of_optimum, nrmse,
                             oracle_dense_h, oracle_meta_gradient)
@@ -155,8 +155,7 @@ def h_matvec_vs_dense(model, data, v, prior):
 def log_stationarity(model, data, v, prior):
     """Residual ||grad|| of the inner objective at v in (m, log d), and the
     scale 1 + ||(m, log d)|| it is measured against."""
-    g = inner_objective_grad(model, data, v, prior, None, 0)
-    g_log = np.concatenate([g.wrt_mean, raw_to_log_grad(g.wrt_var, v.var)])
+    g_log = inner_objective_log_grad(model, data, v, prior, None, 0)
     return (np.linalg.norm(g_log),
             1.0 + np.linalg.norm(np.concatenate([v.mean, v.log_var])))
 

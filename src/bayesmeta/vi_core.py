@@ -65,6 +65,16 @@ class VariationalParams:
     def from_prior(cls, prior: PriorParams) -> "VariationalParams":
         return cls(prior.mean, prior.log_var)
 
+    @classmethod
+    def _unchecked(cls, mean: np.ndarray,
+                   log_var: np.ndarray) -> "VariationalParams":
+        """Package-internal: wrap two arrays the caller has already checked
+        (equal-length finite float64 vectors), without a copy."""
+        v = object.__new__(cls)
+        object.__setattr__(v, "mean", mean)
+        object.__setattr__(v, "log_var", log_var)
+        return v
+
 
 @dataclass(frozen=True)
 class PriorParams(VariationalParams):

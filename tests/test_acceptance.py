@@ -133,7 +133,7 @@ def test_criterion_5_cost_counters_exact():
     for k in (1, 10, 100, 1000):
         cfg = InnerConfig(steps=k, lr=0.01, record_trace=True)
         v_hat, trace = run_inner_gd(model, data, prior, cfg)
-        retained = len(trace.iterates) * 2 * DIM
+        retained = trace.iterates.size
         ok &= retained == (k + 1) * 2 * DIM
         before = model.hvp_calls
         g_u = unrolled_meta_gradient(model, data, trace, prior, spec)

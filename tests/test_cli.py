@@ -164,6 +164,35 @@ class TestTrain:
         assert (tmp_path / "checkpoint.json").read_bytes() == ckpt
         assert (tmp_path / "loss.csv").read_bytes() == loss
 
+    @pytest.mark.parametrize("changes, named", [
+        (["--set", "n_tasks=6", "--set", "meta_lr=0.5"], ["meta_lr", "n_tasks"]),
+        (["--seeds", "1"], ["--seeds"]),
+    ])
+    def test_resume_under_another_config_is_refused(self, tmp_path, capsys,
+                                                    changes, named):
+        out = ["--out", str(tmp_path)]
+        assert main(["train", "--set", "iterations=1", "--set", "n_tasks=4"]
+                    + out) == 0
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        assert sorted(before) == ["checkpoint.json", "loss.csv",
+                                  "train_manifest.json"]
+        capsys.readouterr()
+        assert main(["train", "--set", "iterations=2", "--set", "n_tasks=4"]
+                    + changes + out) == 2
+        err = capsys.readouterr().err
+        for key in named:
+            assert key in err
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+    def test_resume_without_manifest_is_refused(self, tmp_path, capsys):
+        common = ["--out", str(tmp_path), "--set", "n_tasks=4"]
+        assert main(["train", "--set", "iterations=1"] + common) == 0
+        (tmp_path / "train_manifest.json").unlink()
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        assert main(["train", "--set", "iterations=2"] + common) == 2
+        assert "train_manifest.json" in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
     def test_blob_dataset_runs(self, tmp_path):
         rc = main(["train", "--out", str(tmp_path), "--set", "dataset=blob",
                    "--set", "iterations=2", "--set", "n_tasks=4",
@@ -340,6 +369,42 @@ class TestConfig:
         err = capsys.readouterr().err
         for text in named:
             assert text in err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command, items, named", [
+        ("train", ["inner_lr=-1"], "inner_lr"),
+        ("train", ["inner_steps=-1"], "inner_steps"),
+        ("train", ["cg_iters=0"], "cg_iters"),
+        ("train", ["batch_size=0"], "batch_size"),
+        ("train", ["method=foo"], "method"),
+        ("train", ["dim=0"], "dim"),
+        ("nrmse-sweep", ["k_list=1,-1"], "k_list"),
+        ("nrmse-sweep", ["l_list=0"], "l_list"),
+        ("nrmse-sweep", ["loss_kind=foo"], "loss_kind"),
+        ("bench", ["cg_rel_tol=-1"], "cg_rel_tol"),
+        ("calibration", ["inner_lr=0"], "inner_lr"),
+    ])
+    def test_out_of_range_value_exits_2_naming_key(self, tmp_path, capsys,
+                                                   command, items, named):
+        # refused before any task, file or worker process is made
+        args = [command, "--out", str(tmp_path), "--seeds", "0"]
+        if command == "nrmse-sweep":
+            args += ["--workers", "2"]
+        for item in items:
+            args += ["--set", item]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert f"config key '{named}'" in err
+        assert "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["bench", "train", "calibration",
+                                         "verify"])
+    def test_workers_refused_where_unused(self, tmp_path, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--out", str(tmp_path), "--workers", "4"])
+        assert exc.value.code == 2
+        assert "--workers" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
     def test_accepted_values_keep_their_form(self):

@@ -123,6 +123,21 @@ class TestUnrolledMetaGradient:
             assert g.hvp_calls == k
             assert model.hvp_calls - before == k
 
+    @pytest.mark.parametrize("k", [1, 7])
+    def test_reverse_sweep_spends_k_hvps_and_no_inner_gradient(self, k):
+        # the only nll gradient is the meta-loss's: each step's inner
+        # gradient comes from the trace
+        p = 4
+        data = small_task(p, seed=15)
+        prior = random_prior(p, 15)
+        model = LinearGaussianModel(p)
+        cfg = InnerConfig(steps=k, lr=0.01, record_trace=True)
+        _, trace = run_inner_gd(model, data, prior, cfg)
+        hvp0, grad0 = model.hvp_calls, model.grad_counter.count
+        g = unrolled_meta_gradient(model, data, trace, prior, MetaLossSpec())
+        assert g.hvp_calls == k and model.hvp_calls - hvp0 == k
+        assert model.grad_counter.count - grad0 == 1
+
     def test_mlp_matches_fd_with_common_random_numbers(self):
         model = MLPModel([1, 3, 1])
         rng = np.random.default_rng(8)

@@ -1,14 +1,19 @@
 """Inner-loop tests: GD fixed point vs the closed form, hand-checked single
-step, stationarity, contraction, monotone descent, divergence guard."""
+step, the loop's steps vs the single-point reference gradient, stationarity,
+contraction, monotone descent, divergence guard."""
 
 import numpy as np
 import pytest
 
-from bayesmeta import (InnerConfig, InnerDivergenceError, LinearGaussianModel,
-                       PriorParams, TaskData, TaskGenSpec,
-                       closed_form_linear_optimum, generate_linear_tasks,
+from bayesmeta import (BlobTaskSpec, InnerConfig, InnerDivergenceError,
+                       LinearGaussianModel, MLPModel, PriorParams, TaskData,
+                       TaskGenSpec, closed_form_linear_optimum,
+                       generate_blob_tasks, generate_linear_tasks,
                        run_inner_gd, standard_normal)
-from bayesmeta.inner_opt import inner_objective_value
+from bayesmeta import inner_opt
+from bayesmeta.inner_opt import (inner_objective_grad,
+                                 inner_objective_log_grad,
+                                 inner_objective_value)
 from bayesmeta.verify import log_stationarity
 from bayesmeta.vi_core import derive_seed
 from helpers import random_prior, small_task
@@ -66,9 +71,7 @@ class TestRunInnerGd:
         cfg = InnerConfig(steps=10, lr=0.01, record_trace=True)
         _, t1 = run_inner_gd(model, data, prior, cfg, seed=7)
         _, t2 = run_inner_gd(model, data, prior, cfg, seed=7)
-        for a, b in zip(t1.iterates, t2.iterates):
-            assert np.array_equal(a.mean, b.mean)
-            assert np.array_equal(a.log_var, b.log_var)
+        assert np.array_equal(t1.iterates, t2.iterates)
         assert t1.step_seeds == t2.step_seeds
 
     def test_trace_starts_at_prior_and_has_k_plus_1_iterates(self):
@@ -78,8 +81,8 @@ class TestRunInnerGd:
                                 small_task(p, n=5, seed=5), prior,
                                 InnerConfig(steps=7, record_trace=True))
         assert len(trace.iterates) == 8
-        assert np.array_equal(trace.iterates[0].mean, prior.mean)
-        assert np.array_equal(trace.iterates[0].log_var, prior.log_var)
+        assert np.array_equal(trace.iterates[0, :p], prior.mean)
+        assert np.array_equal(trace.iterates[0, p:], prior.log_var)
 
     def test_objective_monotone_descent(self):
         p = 32
@@ -88,8 +91,9 @@ class TestRunInnerGd:
         model = LinearGaussianModel(p)
         cfg = InnerConfig(steps=200, lr=0.01, record_trace=True)
         _, trace = run_inner_gd(model, data, prior, cfg)
-        vals = [inner_objective_value(model, data, v, prior, None, 0)
-                for v in trace.iterates]
+        vals = [inner_objective_value(model, data, trace.point(k), prior,
+                                      None, 0)
+                for k in range(len(trace.iterates))]
         diffs = np.diff(vals)
         assert np.all(diffs <= 1e-12), \
             "objective increased: step-size problem, not a gradient bug"
@@ -111,6 +115,68 @@ class TestRunInnerGd:
                             prior, InnerConfig(steps=20, lr=0.01),
                             freeze_log_var=True)
         assert np.array_equal(v.log_var, prior.log_var)
+
+
+def mlp_task_and_prior(seed):
+    model = MLPModel([2, 4, 3])
+    data = generate_blob_tasks(BlobTaskSpec(n_classes=3, n_tasks=1,
+                                            seed=seed))[0]
+    rng = np.random.default_rng(seed)
+    prior = PriorParams(0.3 * rng.normal(size=model.dim),
+                        np.log(0.1) + 0.2 * rng.normal(size=model.dim))
+    return model, data, prior
+
+
+class TestLoopMatchesReference:
+    """The loop's inlined step is the single-point reference, bit for bit."""
+
+    @pytest.mark.parametrize("freeze", [False, True])
+    @pytest.mark.parametrize("kind", ["linear", "mlp"])
+    def test_every_step_gradient_is_bitwise_the_reference(self, kind, freeze):
+        if kind == "linear":
+            p = 4
+            model, data, prior = (LinearGaussianModel(p),
+                                  small_task(p, seed=21), random_prior(p, 21))
+            cfg = InnerConfig(steps=12, lr=0.05, record_trace=True)
+        else:
+            model, data, prior = mlp_task_and_prior(22)
+            cfg = InnerConfig(steps=6, lr=0.02, mc_budget=4, record_trace=True)
+        seed = 23
+        v, trace = run_inner_gd(model, data, prior, cfg, seed=seed,
+                                freeze_log_var=freeze)
+        p = prior.dim
+        assert trace.iterates.shape == (cfg.steps + 1, 2 * p)
+        assert trace.var_grads.shape == (cfg.steps, p)
+        assert trace.step_seeds == (
+            [None] * cfg.steps if cfg.mc_budget is None
+            else [derive_seed(seed, k) for k in range(cfg.steps)])
+        for k in range(cfg.steps):
+            w_k = trace.point(k)
+            step_seed = trace.step_seeds[k]
+            g = inner_objective_grad(model, data, w_k, prior, cfg.mc_budget,
+                                     step_seed)
+            assert np.array_equal(trace.var_grads[k], g.wrt_var)
+            step = trace.iterates[k] - cfg.lr * inner_objective_log_grad(
+                model, data, w_k, prior, cfg.mc_budget, step_seed)
+            assert np.array_equal(trace.iterates[k + 1, :p], step[:p])
+            if freeze:
+                assert np.array_equal(trace.iterates[k + 1, p:],
+                                      prior.log_var)
+            else:
+                assert np.array_equal(trace.iterates[k + 1, p:], step[p:])
+        assert np.array_equal(np.concatenate([v.mean, v.log_var]),
+                              trace.iterates[-1])
+
+    def test_closed_form_run_derives_no_seed(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("derive_seed called without sampling")
+        monkeypatch.setattr(inner_opt, "derive_seed", refuse)
+        p = 4
+        _, trace = run_inner_gd(LinearGaussianModel(p), small_task(p, seed=24),
+                                random_prior(p, 24),
+                                InnerConfig(steps=5, record_trace=True),
+                                seed=24)
+        assert trace.step_seeds == [None] * 5
 
 
 class TestClosedForm:
