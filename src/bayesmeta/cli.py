@@ -313,12 +313,12 @@ def cmd_bench(cfg: Dict[str, Any], seeds: List[int], workers: int):
                                             cg, seed=seed)
                 times_i.append(time.perf_counter_ns() - t0)
                 hvp_i = ig.hvp_calls
-            # retained iterates of the backward phase, in float64 elements:
-            # unrolled keeps the whole trace of (K+1) x 2p iterates (plus the
-            # K x p step gradients it reuses), implicit only the final
-            # iterate plus the four CG work vectors (x, r, d, Hd).
+            # retained state of the backward phase, in float64 elements:
+            # unrolled keeps the whole trace, (K+1) x 2p iterates plus the
+            # K x p step gradients it reuses; implicit only the final iterate
+            # plus the four CG work vectors (x, r, d, Hd).
             rows.append([k, "unrolled", int(np.median(times_u)), reps,
-                         trace.iterates.size, hvp_u])
+                         trace.iterates.size + trace.var_grads.size, hvp_u])
             rows.append([k, "implicit", int(np.median(times_i)), reps,
                          5 * 2 * model.dim, hvp_i])
         path = out_dir / "bench.csv"

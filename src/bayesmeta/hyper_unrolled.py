@@ -42,6 +42,7 @@ def unrolled_meta_gradient(oracle: GradientOracle, data: TaskData,
     alpha = cfg.lr
     p = prior.dim
     d_prior = prior.var
+    d_prior_sq = d_prior ** 2
 
     v_final = trace.point(k_steps)
     _, grad1, grad2 = meta_loss_grads(oracle, data, v_final, prior, spec, seed)
@@ -63,12 +64,12 @@ def unrolled_meta_gradient(oracle: GradientOracle, data: TaskData,
 
         # theta-partials of the step map (KL only; the nll has no theta term)
         g_m += alpha * a_m / d_prior
-        g_d += alpha * ((v_k.mean - prior.mean) / d_prior ** 2 * a_m
-                        + d_k / (2.0 * d_prior ** 2) * a_l)
+        g_d += alpha * ((v_k.mean - prior.mean) / d_prior_sq * a_m
+                        + d_k / (2.0 * d_prior_sq) * a_l)
 
         # Hessian of the inner objective in log coordinates applied to (a_m, a_l):
         # raw HVP at u = (a_m, d_k * a_l), then chain-rule corrections.
-        u = TangentVector(a_m, d_k * a_l)
+        u = TangentVector._unchecked(a_m, d_k * a_l)
         hvp = oracle.nll_hvp(v_k, data, "train", u, cfg.mc_budget, step_seed)
         h_m = hvp.wrt_mean + a_m / d_prior
         h_d = hvp.wrt_var + a_l / (2.0 * d_k)

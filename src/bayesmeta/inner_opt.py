@@ -9,7 +9,7 @@ task, which is the fixed point the GD iterates converge to.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 import numpy as np
 
@@ -93,52 +93,120 @@ def inner_objective_log_grad(oracle: GradientOracle, data: TaskData,
     return np.concatenate([g.wrt_mean, raw_to_log_grad(g.wrt_var, v.var)])
 
 
-def run_inner_gd(oracle: GradientOracle, data: TaskData, prior: PriorParams,
-                 cfg: InnerConfig, seed: int = 0, freeze_log_var: bool = False
-                 ) -> Tuple[VariationalParams, Optional[InnerTrace]]:
+def run_inner_gd(oracle: GradientOracle, data, prior: PriorParams,
+                 cfg: InnerConfig, seed=0, freeze_log_var: bool = False):
     """K-step GD on the negative ELBO, initialized at the prior.
+
+    ``data`` is one task with one ``seed``, or a meta-batch: a sequence of
+    tasks with a sequence of seeds. One task returns ``(v, trace)`` and
+    raises its failure. A batch returns one entry per task, ``(v, trace)``
+    or the exception that task failed with; a failed task stops stepping
+    and the others run on. One task is a batch of one.
 
     ``freeze_log_var`` keeps the variance block at its initial value and
     descends only the mean block (the fixed-variance proximal special case).
 
-    A step is :func:`inner_objective_log_grad`'s arithmetic, in the same
-    order, on plain arrays: the prior's variance and its reciprocal are
-    computed once, and the divergence check validates each iterate before it
-    is handed to the oracle. Step seeds are derived only when the oracle
-    samples (``mc_budget`` set).
+    All tasks step in lockstep on stacked (B, p) arrays, with gradients from
+    the oracle's :meth:`~GradientOracle.batch_nll_grad`. A step is
+    :func:`inner_objective_log_grad`'s arithmetic, in the same order and
+    elementwise, so each task gets the bits it gets alone: the prior's
+    variance and its reciprocal are computed once, and the divergence check
+    validates each task's iterate before it is handed to the oracle. Step
+    seeds are derived only when the oracle samples (``mc_budget`` set).
     """
-    v = VariationalParams.from_prior(prior)
-    mean, log_var = v.mean, v.log_var
+    if isinstance(data, TaskData):
+        (out,) = _lockstep(oracle, [data], prior, cfg, [seed], freeze_log_var)
+        if isinstance(out, Exception):
+            raise out
+        return out
+    return _lockstep(oracle, list(data), prior, cfg, list(seed),
+                     freeze_log_var)
+
+
+def _lockstep(oracle: GradientOracle, tasks: List[TaskData],
+              prior: PriorParams, cfg: InnerConfig, seeds: List[int],
+              freeze_log_var: bool) -> list:
+    b, p = len(tasks), prior.dim
+    if not b:
+        return []
     m_prior, d_prior = prior.mean, prior.var
     inv_d_prior = 1.0 / d_prior
-    lr, mc_budget, k_steps, p = cfg.lr, cfg.mc_budget, cfg.steps, prior.dim
-    step_seeds = ([derive_seed(seed, k) for k in range(k_steps)]
-                  if mc_budget is not None else [None] * k_steps)
-    trace = None
-    if cfg.record_trace:
-        trace = InnerTrace(iterates=np.empty((k_steps + 1, 2 * p)),
-                           var_grads=np.empty((k_steps, p)),
-                           step_seeds=step_seeds, cfg=cfg)
-        trace.iterates[0] = np.concatenate([mean, log_var])
+    lr, mc_budget, k_steps, record = (cfg.lr, cfg.mc_budget, cfg.steps,
+                                      cfg.record_trace)
+    step_seeds = [[derive_seed(s, k) for k in range(k_steps)]
+                  if mc_budget is not None else [None] * k_steps
+                  for s in seeds]
+    mean = np.tile(prior.mean, (b, 1))
+    log_var = np.tile(prior.log_var, (b, 1))
+    if record:
+        iterates = np.empty((b, k_steps + 1, 2 * p))
+        var_grads = np.empty((b, k_steps, p))
+        iterates[:, 0, :p] = mean
+        iterates[:, 0, p:] = log_var
+    out: list = [None] * b  # a task's failure, then its result
+    live = list(range(b))  # the tasks still stepping, one per row
+    rows = slice(None)  # their trace rows; a slice writes faster than live
+    grad = None  # the live tasks' stacked gradient, rebuilt when one drops
     for k in range(k_steps):
+        seeds_k = [step_seeds[i][k] for i in live]
+        try:
+            if grad is None:
+                grad = oracle.batch_nll_grad([tasks[i] for i in live],
+                                             "train", mc_budget)
+            g_mean, g_var = grad(mean, log_var, seeds_k)
+        except Exception as exc:
+            g_mean, g_var = _one_at_a_time(oracle, tasks, live, mc_budget,
+                                           mean, log_var, seeds_k, exc, out)
         d_t = np.exp(log_var)
-        g = oracle.nll_grad(v, data, "train", mc_budget, step_seeds[k])
         # plus the q-block of kl_grad, as in inner_objective_grad
-        g_mean = g.wrt_mean + (mean - m_prior) / d_prior
-        g_var = g.wrt_var + 0.5 * (inv_d_prior - 1.0 / d_t)
+        g_mean = g_mean + (mean - m_prior) / d_prior
+        g_var = g_var + 0.5 * (inv_d_prior - 1.0 / d_t)
         mean = mean - lr * g_mean
         if not freeze_log_var:
             log_var = log_var - lr * (d_t * g_var)  # raw_to_log_grad
-        # NaN fails every comparison, so this also catches non-finite entries
+        # NaN fails every comparison, so this also catches non-finite
+        # entries; the rows are checked one by one only when the batch fails
         if not (np.abs(mean).max() <= DIVERGENCE_LIMIT
                 and np.abs(log_var).max() <= LOG_VAR_LIMIT):
-            raise InnerDivergenceError(k)
-        if trace is not None:
-            trace.iterates[k + 1, :p] = mean
-            trace.iterates[k + 1, p:] = log_var
-            trace.var_grads[k] = g_var
-        v = VariationalParams._unchecked(mean, log_var)
-    return v, trace
+            ok = ((np.abs(mean).max(axis=1) <= DIVERGENCE_LIMIT)
+                  & (np.abs(log_var).max(axis=1) <= LOG_VAR_LIMIT))
+            for i, passed in zip(live, ok):
+                if not passed and out[i] is None:
+                    out[i] = InnerDivergenceError(k)
+            live = [i for i, passed in zip(live, ok) if passed]
+            mean, log_var, g_var = mean[ok], log_var[ok], g_var[ok]
+            rows, grad = live, None
+            if not live:
+                break
+        if record:
+            iterates[rows, k + 1, :p] = mean
+            iterates[rows, k + 1, p:] = log_var
+            var_grads[rows, k] = g_var
+    for j, i in enumerate(live):
+        trace = (InnerTrace(iterates[i], var_grads[i], step_seeds[i], cfg)
+                 if record else None)
+        out[i] = (VariationalParams._unchecked(mean[j], log_var[j]), trace)
+    return out
+
+
+def _one_at_a_time(oracle, tasks, live, mc_budget, mean, log_var, seeds,
+                   exc, out):
+    """The step's gradients after the stacked call raised ``exc``: each live
+    task on its own. A task that raises gets its exception in ``out`` and NaN
+    rows, so the divergence check stops it."""
+    g_mean, g_var = np.full_like(mean, np.nan), np.full_like(mean, np.nan)
+    if len(live) == 1:
+        out[live[0]] = exc
+        return g_mean, g_var
+    for j, i in enumerate(live):
+        rows = slice(j, j + 1)
+        try:
+            grad = oracle.batch_nll_grad([tasks[i]], "train", mc_budget)
+            g_mean[rows], g_var[rows] = grad(mean[rows], log_var[rows],
+                                             seeds[rows])
+        except Exception as task_exc:
+            out[i] = task_exc
+    return g_mean, g_var
 
 
 def closed_form_linear_optimum(prior: PriorParams, data: TaskData,

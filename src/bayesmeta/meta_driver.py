@@ -154,20 +154,29 @@ class StepReport:
         return float(np.mean(self.losses))
 
 
-def task_meta_gradient(oracle: GradientOracle, data: TaskData,
-                       prior: PriorParams, cfg: MetaConfig,
-                       seed: int) -> Tuple[MetaGradient, float]:
-    """Inner run plus the configured method's meta-gradient for one task."""
-    method = cfg.method
-    record = method == "unrolled"
-    freeze = method == "imaml_mode"
+def _inner_run(cfg: MetaConfig) -> Tuple[InnerConfig, bool]:
+    """The inner config and ``freeze_log_var`` flag of the configured method."""
     inner = cfg.inner
-    if record and not inner.record_trace:
+    if cfg.method == "unrolled" and not inner.record_trace:
         inner = replace(inner, record_trace=True)
-    v_hat, trace = run_inner_gd(oracle, data, prior, inner, seed,
-                                freeze_log_var=freeze)
+    return inner, cfg.method == "imaml_mode"
+
+
+def task_meta_gradient(oracle: GradientOracle, data: TaskData,
+                       prior: PriorParams, cfg: MetaConfig, seed: int,
+                       adapted=None) -> Tuple[MetaGradient, float]:
+    """Inner run plus the configured method's meta-gradient for one task.
+
+    ``adapted`` is the task's ``(v_hat, trace)`` when its inner run is
+    already done (:func:`meta_step` runs a batch's in lockstep).
+    """
+    inner, freeze = _inner_run(cfg)
+    if adapted is None:
+        adapted = run_inner_gd(oracle, data, prior, inner, seed,
+                               freeze_log_var=freeze)
+    v_hat, trace = adapted
     loss = meta_loss_value(oracle, data, v_hat, prior, cfg.loss, seed)
-    if method == "unrolled":
+    if cfg.method == "unrolled":
         grad = unrolled_meta_gradient(oracle, data, trace, prior, cfg.loss, seed)
     else:
         grad = implicit_meta_gradient(oracle, data, v_hat, prior, cfg.loss,
@@ -185,17 +194,29 @@ def sample_batch(n_tasks: int, batch_size: int, seed: int, r: int) -> np.ndarray
 def meta_step(prior: PriorParams, oracle: GradientOracle,
               tasks: List[TaskData], task_ids, cfg: MetaConfig, r: int
               ) -> Tuple[PriorParams, StepReport]:
-    """One outer SGD step over the given batch of task indices."""
+    """One outer SGD step over the given batch of task indices.
+
+    The batch's inner runs step in lockstep; then each task in batch order
+    gets its meta-loss and meta-gradient. The first task that failed in any
+    phase, in batch order, fails the step.
+    """
     p = prior.dim
     avg_mean = np.zeros(p)
     avg_log_var = np.zeros(p)
     losses, cg_iters, cg_residuals = [], [], []
     hvp_total = 0
-    for t in task_ids:
-        seed = derive_seed(cfg.seed, r, int(t))
+    ids = [int(t) for t in task_ids]
+    batch = [tasks[t] for t in ids]
+    seeds = [derive_seed(cfg.seed, r, t) for t in ids]
+    inner, freeze = _inner_run(cfg)
+    adapted = run_inner_gd(oracle, batch, prior, inner, seeds,
+                           freeze_log_var=freeze)
+    for t, data, seed, result in zip(ids, batch, seeds, adapted):
         try:
-            grad, loss = task_meta_gradient(oracle, tasks[int(t)], prior, cfg,
-                                            seed)
+            if isinstance(result, Exception):
+                raise result
+            grad, loss = task_meta_gradient(oracle, data, prior, cfg, seed,
+                                            result)
         except Exception as exc:
             raise RuntimeError(f"meta-step {r} failed on task {t}: {exc}") from exc
         avg_mean += grad.wrt_mean
@@ -204,7 +225,7 @@ def meta_step(prior: PriorParams, oracle: GradientOracle,
         cg_iters.append(grad.cg_iters)
         cg_residuals.append(grad.cg_residual)
         hvp_total += grad.hvp_calls
-    n = len(list(task_ids))
+    n = len(ids)
     avg_mean /= n
     avg_log_var /= n
     new_mean = prior.mean - cfg.meta_lr * avg_mean
@@ -213,7 +234,7 @@ def meta_step(prior: PriorParams, oracle: GradientOracle,
     else:
         new_log_var = prior.log_var - cfg.meta_lr * avg_log_var
     new_prior = PriorParams(new_mean, new_log_var)
-    report = StepReport(iteration=r, task_ids=[int(t) for t in task_ids],
+    report = StepReport(iteration=r, task_ids=ids,
                         losses=losses, hvp_calls=hvp_total,
                         cg_iters=cg_iters, cg_residuals=cg_residuals)
     return new_prior, report

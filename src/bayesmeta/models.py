@@ -70,9 +70,9 @@ class _CallCounter:
     def count(self) -> int:
         return self._count
 
-    def increment(self) -> None:
+    def increment(self, n: int = 1) -> None:
         with self._lock:
-            self._count += 1
+            self._count += n
 
     def reset(self) -> None:
         with self._lock:
@@ -105,6 +105,26 @@ class GradientOracle:
 
     def nll_hvp(self, v, data, split, vec, mc_budget=None, seed=0) -> TangentVector:
         raise NotImplementedError
+
+    def batch_nll_grad(self, tasks, split, mc_budget=None):
+        """Stacked gradients for a batch of tasks of one variational dimension.
+
+        Returns ``grad(mean, log_var, seeds)``: it maps (B, p) means and
+        log-variances and one seed per task to the (B, p) mean and variance
+        blocks of each task's :meth:`nll_grad`, bit for bit, and counts B
+        gradients. An implementation computes what depends on the tasks
+        alone once, here, and may return the same array on every call, so
+        callers must not write to the blocks. This default calls
+        ``nll_grad`` once per task.
+        """
+        def grad(mean, log_var, seeds):
+            g_mean, g_var = np.empty_like(mean), np.empty_like(log_var)
+            for i, data in enumerate(tasks):
+                v = VariationalParams._unchecked(mean[i], log_var[i])
+                g = self.nll_grad(v, data, split, mc_budget, seeds[i])
+                g_mean[i], g_var[i] = g.wrt_mean, g.wrt_var
+            return g_mean, g_var
+        return grad
 
 
 class LinearGaussianModel(GradientOracle):
@@ -140,12 +160,56 @@ class LinearGaussianModel(GradientOracle):
         g_var = (x * x).sum(axis=1) / (2.0 * s2)  # constant in v
         return TangentVector(g_mean, g_var)
 
+    def batch_nll_grad(self, tasks, split, mc_budget=None):
+        """:meth:`nll_grad`'s closed form, stacked: ``x @ y`` and the variance
+        block, which is constant in v, are computed once per task here. Each
+        call is then one stacked ``X (X^T m)`` per group of tasks with one
+        design shape; padding unequal designs to one shape would change the
+        BLAS sums."""
+        groups = {}
+        for i, data in enumerate(tasks):
+            if data.task_kind != "regression":
+                raise ValueError("linear model handles regression tasks only")
+            groups.setdefault(data.split(split)[0].shape, []).append(i)
+        g_var = np.empty((len(tasks), self.dim))
+        stacks = []
+        for idx in groups.values():
+            xs, xys, s2s = [], [], []
+            for i in idx:
+                x, y = tasks[i].split(split)
+                s2 = tasks[i].noise_sigma ** 2
+                g_var[i] = (x * x).sum(axis=1) / (2.0 * s2)
+                xs.append(x)
+                xys.append(x @ y)
+                s2s.append(s2)
+            x = np.stack(xs)
+            # one group: a slice views the stacked means, an index list copies
+            rows = idx if len(groups) > 1 else slice(None)
+            stacks.append((rows, x, x.swapaxes(1, 2), np.stack(xys),
+                           np.array(s2s)[:, None]))
+        n_tasks = len(tasks)
+
+        def grad(mean, log_var, seeds):
+            if mean.shape[1] != self.dim:
+                raise ValueError("variational dimension mismatch")
+            self.grad_counter.increment(n_tasks)
+            parts = [(rows, (np.matmul(x, np.matmul(xt, mean[rows, :, None]))
+                             [:, :, 0] - xy) / s2)
+                     for rows, x, xt, xy, s2 in stacks]
+            if len(parts) == 1:
+                return parts[0][1], g_var
+            g_mean = np.empty_like(mean)
+            for rows, part in parts:
+                g_mean[rows] = part
+            return g_mean, g_var
+        return grad
+
     def nll_hvp(self, v, data, split, vec, mc_budget=None, seed=0) -> TangentVector:
         self._check(v, data)
         self.hvp_counter.increment()
         x, _ = data.split(split)
         h_mean = x @ (x.T @ vec.wrt_mean) / data.noise_sigma ** 2
-        return TangentVector(h_mean, np.zeros(self.dim))
+        return TangentVector._unchecked(h_mean, np.zeros(self.dim))
 
 
 def mlp_param_count(widths: Sequence[int]) -> int:

@@ -108,6 +108,15 @@ class TangentVector:
     def dim(self) -> int:
         return self.wrt_mean.shape[0]
 
+    @classmethod
+    def _unchecked(cls, wrt_mean: np.ndarray,
+                   wrt_var: np.ndarray) -> "TangentVector":
+        """Package-internal: wrap two arrays the caller has already checked
+        (equal-length float64 vectors), without a copy."""
+        t = object.__new__(cls)
+        t.wrt_mean, t.wrt_var = wrt_mean, wrt_var
+        return t
+
     def concat(self) -> np.ndarray:
         return np.concatenate([self.wrt_mean, self.wrt_var])
 

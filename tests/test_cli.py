@@ -97,7 +97,8 @@ class TestBench:
         for k, method, _, reps, retained, hvp in rows[1:]:
             assert int(reps) >= 10
             if method == "unrolled":
-                assert int(retained) == (int(k) + 1) * 2 * p
+                # (K+1) x 2p iterates plus K x p step gradients
+                assert int(retained) == (int(k) + 1) * 2 * p + int(k) * p
                 assert int(hvp) == int(k)
             else:
                 implicit_counts.add(int(retained))

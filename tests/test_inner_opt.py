@@ -179,6 +179,86 @@ class TestLoopMatchesReference:
         assert trace.step_seeds == [None] * 5
 
 
+def batch_pool(kind):
+    """(model, prior, config kwargs, three tasks): tasks 0 and 2 share a
+    train-design shape, task 1 has another."""
+    if kind == "linear":
+        p = 4
+        pool = [small_task(p, n=8, seed=40), small_task(p, n=5, seed=41),
+                small_task(p, n=8, seed=42)]
+        return (LinearGaussianModel(p), random_prior(p, 31),
+                dict(steps=9, lr=0.05), pool)
+    model, _, prior = mlp_task_and_prior(32)
+    pool = [generate_blob_tasks(BlobTaskSpec(n_classes=3, shots_tr=shots,
+                                             n_tasks=1, seed=seed))[0]
+            for shots, seed in ((5, 40), (3, 41), (5, 42))]
+    return model, prior, dict(steps=5, lr=0.02, mc_budget=4), pool
+
+
+class TestLockstep:
+    """A batch steps in lockstep and each task gets the bits it gets alone."""
+
+    @pytest.mark.parametrize("record", [False, True])
+    @pytest.mark.parametrize("freeze", [False, True])
+    @pytest.mark.parametrize("ids", [[1], [0, 1], [0, 1, 2, 0]],
+                             ids=["B1", "B2-two-shapes", "B4-repeated-id"])
+    @pytest.mark.parametrize("kind", ["linear", "mlp"])
+    def test_batch_equals_each_task_alone(self, kind, ids, freeze, record):
+        model, prior, kw, pool = batch_pool(kind)
+        cfg = InnerConfig(record_trace=record, **kw)
+        seeds = [50 + j for j in range(len(ids))]
+        before = model.grad_counter.count
+        batch = run_inner_gd(model, [pool[i] for i in ids], prior, cfg, seeds,
+                             freeze_log_var=freeze)
+        assert model.grad_counter.count - before == len(ids) * cfg.steps
+        assert len(batch) == len(ids)
+        for i, seed, (v, trace) in zip(ids, seeds, batch):
+            v1, trace1 = run_inner_gd(model, pool[i], prior, cfg, seed,
+                                      freeze_log_var=freeze)
+            assert np.array_equal(v.mean, v1.mean)
+            assert np.array_equal(v.log_var, v1.log_var)
+            if record:
+                assert np.array_equal(trace.iterates, trace1.iterates)
+                assert np.array_equal(trace.var_grads, trace1.var_grads)
+                assert trace.step_seeds == trace1.step_seeds
+            else:
+                assert trace is None and trace1 is None
+        # each task's result holds only its own rows
+        for j, (v, trace) in enumerate(batch):
+            for w, other in batch[j + 1:]:
+                assert not np.shares_memory(v.mean, w.mean)
+                assert not np.shares_memory(v.log_var, w.log_var)
+                if record:
+                    assert not np.shares_memory(trace.iterates, other.iterates)
+                    assert not np.shares_memory(trace.var_grads,
+                                                other.var_grads)
+
+    def test_failed_tasks_stop_and_the_others_run_on(self):
+        model, prior, kw, pool = batch_pool("linear")
+        cfg = InnerConfig(record_trace=True, **kw)
+        good = pool[0]
+        diverging = TaskData(x_tr=1e4 * good.x_tr, y_tr=good.y_tr,
+                             x_val=good.x_val, y_val=good.y_val,
+                             noise_sigma=good.noise_sigma)
+        wrong_kind = TaskData(x_tr=good.x_tr, y_tr=good.y_tr, x_val=good.x_val,
+                              y_val=good.y_val, task_kind="classification")
+        batch = [pool[1], diverging, pool[2], wrong_kind, pool[0]]
+        out = run_inner_gd(model, batch, prior, cfg, list(range(5)))
+        with pytest.raises(InnerDivergenceError) as alone:
+            run_inner_gd(model, diverging, prior, cfg)
+        assert isinstance(out[1], InnerDivergenceError)
+        assert out[1].step == alone.value.step
+        assert isinstance(out[3], ValueError)
+        assert "regression tasks only" in str(out[3])
+        for j in (0, 2, 4):
+            v, trace = out[j]
+            v1, trace1 = run_inner_gd(model, batch[j], prior, cfg, j)
+            assert np.array_equal(v.mean, v1.mean)
+            assert np.array_equal(v.log_var, v1.log_var)
+            assert np.array_equal(trace.iterates, trace1.iterates)
+            assert np.array_equal(trace.var_grads, trace1.var_grads)
+
+
 class TestClosedForm:
     def test_no_data_returns_prior(self):
         p = 3

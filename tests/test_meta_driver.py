@@ -6,12 +6,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from bayesmeta import (BlobTaskSpec, CgConfig, InnerConfig, LinearGaussianModel,
-                       MetaConfig, PriorParams, TaskGenSpec,
+from bayesmeta import (BlobTaskSpec, CgConfig, InnerConfig,
+                       InnerDivergenceError, LinearGaussianModel, MetaConfig,
+                       PriorParams, TaskData, TaskGenSpec,
                        checkpoint_from_json, checkpoint_to_json,
                        generate_blob_tasks, generate_linear_tasks, imaml_prior,
                        meta_step, run_inner_gd, sample_batch,
                        task_meta_gradient)
+from bayesmeta import meta_driver
 from bayesmeta.vi_core import derive_seed
 
 
@@ -173,6 +175,94 @@ class TestMetaStep:
             inner=InnerConfig(steps=50, lr=1e6))  # guaranteed divergence
         with pytest.raises(RuntimeError, match="task 1"):
             meta_step(prior, oracle, tasks, [1], cfg, 0)
+
+
+class FailingHvp(LinearGaussianModel):
+    """Linear oracle whose HVPs raise on one task (a meta-gradient failure)."""
+
+    def __init__(self, dim, bad):
+        super().__init__(dim)
+        self.bad = bad
+
+    def nll_hvp(self, v, data, split, vec, mc_budget=None, seed=0):
+        if data is self.bad:
+            raise FloatingPointError("stub HVP failure")
+        return super().nll_hvp(v, data, split, vec, mc_budget, seed)
+
+
+class TestLockstepBatch:
+    """meta_step runs the batch's inner loops in lockstep and gets the bits,
+    counts and errors of one task after another."""
+
+    @pytest.mark.parametrize("method", ["implicit", "unrolled", "imaml_mode"])
+    def test_equals_per_task_average(self, method):
+        oracle, tasks, prior, cfg = linear_setup(
+            method=method, inner=InnerConfig(steps=7, lr=0.01))
+        r, batch = 3, [0, 2, 0, 5]
+        grads, losses = [], []
+        counts = oracle.grad_counter.count, oracle.hvp_calls
+        for t in batch:
+            grad, loss = task_meta_gradient(oracle, tasks[t], prior, cfg,
+                                            derive_seed(cfg.seed, r, t))
+            grads.append(grad)
+            losses.append(loss)
+        serial = (oracle.grad_counter.count - counts[0],
+                  oracle.hvp_calls - counts[1])
+        counts = oracle.grad_counter.count, oracle.hvp_calls
+        new_prior, report = meta_step(prior, oracle, tasks, batch, cfg, r)
+        assert (oracle.grad_counter.count - counts[0],
+                oracle.hvp_calls - counts[1]) == serial
+        avg_mean, avg_log_var = np.zeros(prior.dim), np.zeros(prior.dim)
+        for grad in grads:
+            avg_mean += grad.wrt_mean
+            avg_log_var += grad.wrt_log_var
+        avg_mean /= len(batch)
+        avg_log_var /= len(batch)
+        assert np.array_equal(new_prior.mean,
+                              prior.mean - cfg.meta_lr * avg_mean)
+        if method != "imaml_mode":
+            assert np.array_equal(new_prior.log_var,
+                                  prior.log_var - cfg.meta_lr * avg_log_var)
+        assert report.losses == losses
+        assert report.cg_iters == [g.cg_iters for g in grads]
+
+    def test_inner_gradients_counted_per_task_and_step(self, monkeypatch):
+        k = 7
+        oracle, tasks, prior, cfg = linear_setup(
+            inner=InnerConfig(steps=k, lr=0.01))
+        inner_counts = []
+
+        def counting(oracle, data, prior, cfg, seed, **kw):
+            before = oracle.grad_counter.count
+            out = run_inner_gd(oracle, data, prior, cfg, seed, **kw)
+            inner_counts.append(oracle.grad_counter.count - before)
+            return out
+        monkeypatch.setattr(meta_driver, "run_inner_gd", counting)
+        meta_step(prior, oracle, tasks, [1, 4, 4], cfg, 0)
+        assert inner_counts == [3 * k]
+
+    def test_first_failure_in_batch_order_is_raised(self):
+        _, tasks, prior, cfg = linear_setup(
+            inner=InnerConfig(steps=20, lr=0.01))
+        good = tasks[1]
+        tasks[1] = TaskData(x_tr=1e4 * good.x_tr, y_tr=good.y_tr,
+                            x_val=good.x_val, y_val=good.y_val,
+                            noise_sigma=good.noise_sigma)
+        oracle = FailingHvp(prior.dim, bad=tasks[0])
+        with pytest.raises(InnerDivergenceError) as alone:
+            run_inner_gd(oracle, tasks[1], prior, cfg.inner)
+        step = alone.value.step
+        # position 0 fails in its meta-gradient, position 1 in its inner loop
+        with pytest.raises(RuntimeError) as err:
+            meta_step(prior, oracle, tasks, [0, 1], cfg, 0)
+        assert str(err.value) == (
+            "meta-step 0 failed on task 0: stub HVP failure")
+        assert isinstance(err.value.__cause__, FloatingPointError)
+        with pytest.raises(RuntimeError) as err:
+            meta_step(prior, oracle, tasks, [2, 1, 0], cfg, 0)
+        assert str(err.value) == (
+            f"meta-step 0 failed on task 1: inner GD diverged at step {step}")
+        assert isinstance(err.value.__cause__, InnerDivergenceError)
 
 
 class TestSampleBatch:
