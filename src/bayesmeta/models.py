@@ -15,6 +15,7 @@ nll values (gradients and HVPs are unaffected).
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass
 from typing import Sequence
@@ -60,7 +61,7 @@ class TaskData:
 
 
 class _CallCounter:
-    """Thread-safe integer counter for HVP-call accounting."""
+    """Thread-safe integer counter of oracle calls (gradients or HVPs)."""
 
     def __init__(self):
         self._lock = threading.Lock()
@@ -212,6 +213,30 @@ class LinearGaussianModel(GradientOracle):
         return TangentVector._unchecked(h_mean, np.zeros(self.dim))
 
 
+# Grow-only float64 work buffers, one set per thread, for the MLP's large
+# arrays: the (S, p) samples, and per pass the (S, width, N) layer outputs and
+# deltas and the (S, p) gradients. Fresh arrays would fault their pages in
+# again on each pass, whenever the allocator has handed the freed heap top
+# back to the OS.
+_work = threading.local()
+
+
+def _work_views(name: str, shapes):
+    """Consecutive views of the given shapes into this thread's work buffer
+    ``name``. A buffer grows to the largest request the thread has made and
+    is kept, so a view is valid until the next request for that buffer."""
+    sizes = [math.prod(shape) for shape in shapes]
+    buf = getattr(_work, name, None)
+    if buf is None or buf.size < sum(sizes):
+        buf = np.empty(sum(sizes))
+        setattr(_work, name, buf)
+    views, ofs = [], 0
+    for shape, size in zip(shapes, sizes):
+        views.append(buf[ofs:ofs + size].reshape(shape))
+        ofs += size
+    return views
+
+
 def mlp_param_count(widths: Sequence[int]) -> int:
     return sum(widths[i + 1] * widths[i] + widths[i + 1]
                for i in range(len(widths) - 1))
@@ -226,6 +251,9 @@ class MLPModel(GradientOracle):
 
     The HVP is (g(v + h vec) - g(v - h vec)) / (2h) with the same seed on both
     sides, h = FD_EPSILON * (1 + ||v||_inf) / max(||vec||_inf, tiny).
+
+    The passes keep their large arrays in this thread's work buffers (see
+    ``_work_views``), so instances may be shared across threads.
     """
 
     def __init__(self, widths: Sequence[int]):
@@ -246,18 +274,31 @@ class MLPModel(GradientOracle):
             out.append((w, b))
         return out
 
+    def _pass_views(self, s: int, n: int):
+        """Work-buffer views for one pass of S samples over N inputs: the
+        (S, width, N) layer outputs, one back-propagated (S, width, N) delta
+        per hidden layer, and the (S, p) gradients."""
+        outs = [(s, w, n) for w in self.widths[1:]]
+        deltas = [(s, w, n) for w in self.widths[1:-1]]
+        views = _work_views("mlp_pass", outs + deltas + [(s, self.dim)])
+        return views[:len(outs)], views[len(outs):-1], views[-1]
+
     def _forward(self, params: np.ndarray, x: np.ndarray):
         """Forward pass for S parameter samples over N inputs.
 
-        Returns the output (S, w_out, N) and the per-layer activations needed
-        for backprop.
+        Returns the output (S, w_out, N), the per-layer activations needed
+        for backprop and the per-layer weights. The output and the hidden
+        activations are views into this thread's work buffer, valid until
+        the next MLP pass on the same thread: use them at once.
         """
         layers = self._unpack(params)
+        outs, _, _ = self._pass_views(params.shape[0], x.shape[1])
         acts = [x]  # matmul broadcasts the (w_in, N) inputs over samples
         h = x
         for li, (w, b) in enumerate(layers):
-            z = w @ h + b[:, :, None]
-            h = np.tanh(z) if li < len(layers) - 1 else z
+            z = np.matmul(w, h, out=outs[li])
+            z += b[:, :, None]
+            h = np.tanh(z, out=z) if li < len(layers) - 1 else z
             acts.append(h)
         return h, acts, layers
 
@@ -281,8 +322,10 @@ class MLPModel(GradientOracle):
         return nll, dout
 
     def _backward(self, acts, layers, dout: np.ndarray) -> np.ndarray:
-        """Accumulate d nll / d params, returning (S, p) gradients."""
+        """Accumulate d nll / d params, returning (S, p) gradients in this
+        thread's work buffer. Overwrites the hidden activations."""
         n_layers = len(layers)
+        _, deltas, g_theta = self._pass_views(dout.shape[0], dout.shape[2])
         grads = [None] * n_layers
         delta = dout
         for li in range(n_layers - 1, -1, -1):
@@ -292,22 +335,33 @@ class MLPModel(GradientOracle):
             gb = delta.sum(axis=2)
             grads[li] = (gw, gb)
             if li > 0:
-                delta = w.swapaxes(-1, -2) @ delta
-                delta = delta * (1.0 - acts[li] ** 2)
-        flat = [np.concatenate([gw.reshape(gw.shape[0], -1), gb], axis=1)
-                for gw, gb in grads]
-        return np.concatenate(flat, axis=1)
+                delta = np.matmul(w.swapaxes(-1, -2), delta,
+                                  out=deltas[li - 1])
+                # acts[li] is spent: write the tanh slope 1 - a**2 over it
+                slope = np.square(acts[li], out=acts[li])
+                np.subtract(1.0, slope, out=slope)
+                delta *= slope
+        return np.concatenate([part for gw, gb in grads
+                               for part in (gw.reshape(gw.shape[0], -1), gb)],
+                              axis=1, out=g_theta)
 
     def _sample(self, v: VariationalParams, mc_budget: int, seed: int):
         """Antithetic reparameterized samples (S, p) and their eps draws.
 
         Pairing eps with -eps cancels odd-order MC noise in the pathwise
         variance gradient exactly; an odd budget leaves one unpaired draw.
+        Both are views into this thread's sample buffer, valid until the
+        next ``_sample`` on the same thread.
         """
         half = (mc_budget + 1) // 2
-        eps = standard_normal((half, v.dim), seed)
-        eps = np.concatenate([eps, -eps], axis=0)[:mc_budget]
-        theta = v.mean[None, :] + np.sqrt(v.var)[None, :] * eps
+        draws = standard_normal((half, v.dim), seed)
+        eps, theta = _work_views("mlp_sample", [(2 * half, v.dim),
+                                                (mc_budget, v.dim)])
+        eps[:half] = draws
+        np.negative(draws, out=eps[half:])
+        eps = eps[:mc_budget]
+        np.multiply(np.sqrt(v.var)[None, :], eps, out=theta)
+        theta += v.mean[None, :]
         return theta, eps
 
     def _check(self, v: VariationalParams, mc_budget):
@@ -336,7 +390,9 @@ class MLPModel(GradientOracle):
         # pathwise rule: d theta / d d = eps / (2 sqrt d)
         sqrt_d = np.sqrt(v.var)
         g_mean = g_theta.mean(axis=0)
-        g_var = (g_theta * eps / (2.0 * np.maximum(sqrt_d, 1e-300))[None, :]).mean(axis=0)
+        g_theta *= eps
+        g_theta /= (2.0 * np.maximum(sqrt_d, 1e-300))[None, :]
+        g_var = g_theta.mean(axis=0)
         return TangentVector(g_mean, g_var)
 
     def nll_hvp(self, v, data, split, vec, mc_budget=None, seed=0) -> TangentVector:

@@ -1,14 +1,22 @@
 """Oracle-interface tests: closed-form linear values against Monte Carlo,
 gradients and HVPs against finite differences (bayesmeta.verify's checks),
-and the MLP against the linear closed form."""
+the MLP against the linear closed form, and the MLP's per-thread work
+buffers."""
 
+import inspect
+import os
+import subprocess
+import sys
 import threading
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from bayesmeta import (LinearGaussianModel, MLPModel, TangentVector, TaskData,
                        VariationalParams, mlp_param_count, sample_params)
+from bayesmeta.calibration import posterior_predictive_probs
 from bayesmeta.verify import nll_grad_vs_fd, nll_hvp_vs_dense_fd, rel_err
 from helpers import small_task
 
@@ -128,19 +136,21 @@ class TestLinearHvp:
         assert np.allclose(out.concat(), 0.0)
 
 
-def make_mlp_instance(widths, n=6, seed=0, kind="regression", n_classes=3):
+def make_mlp_instance(widths, n=6, seed=0, kind="regression", n_classes=3,
+                      n_val=None):
     rng = np.random.default_rng(seed)
     p_in = widths[0]
+    n_val = n if n_val is None else n_val
     x = rng.normal(size=(p_in, n))
     if kind == "regression":
         y_tr = rng.normal(size=n)
-        y_val = rng.normal(size=n)
-        data = TaskData(x_tr=x, y_tr=y_tr, x_val=rng.normal(size=(p_in, n)),
+        y_val = rng.normal(size=n_val)
+        data = TaskData(x_tr=x, y_tr=y_tr, x_val=rng.normal(size=(p_in, n_val)),
                         y_val=y_val, noise_sigma=0.5)
     else:
         data = TaskData(x_tr=x, y_tr=rng.integers(0, n_classes, n),
-                        x_val=rng.normal(size=(p_in, n)),
-                        y_val=rng.integers(0, n_classes, n),
+                        x_val=rng.normal(size=(p_in, n_val)),
+                        y_val=rng.integers(0, n_classes, n_val),
                         task_kind="classification")
     model = MLPModel(widths)
     v = VariationalParams.from_var(0.5 * rng.normal(size=model.dim),
@@ -340,3 +350,95 @@ class TestCounters:
         for t in threads:
             t.join()
         assert model.hvp_calls == 8 * 200
+
+
+# (widths, split, S): each case is one (S, N) shape; train has 25 points and
+# validation 50, as in the blob tasks
+BUFFER_CASES = [([2, 32, 5], "val", 64), ([2, 32, 5], "train", 16),
+                ([2, 32, 5], "train", 64), ([2, 8, 8, 3], "val", 7),
+                ([2, 16, 5], "train", 33), ([2, 32, 5], "val", 1)]
+
+
+def mlp_pass_bytes(case, seed=3):
+    """The bytes of nll_grad, expected_nll and posterior_predictive_probs for
+    one case, with the data and point fixed by the case."""
+    widths, split, s = case
+    model, data, v = make_mlp_instance(widths, n=25, n_val=50,
+                                       seed=len(widths) + s,
+                                       kind="classification",
+                                       n_classes=widths[-1])
+    g = model.nll_grad(v, data, split, s, seed)
+    value = model.expected_nll(v, data, split, s, seed)
+    probs, _ = posterior_predictive_probs(model, v, data, s, seed)
+    return (g.wrt_mean.tobytes() + g.wrt_var.tobytes()
+            + np.float64(value).tobytes() + probs.tobytes())
+
+
+def in_fresh_thread(fn, *args):
+    """Run fn on a new thread, whose work buffers start empty."""
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        return pool.submit(fn, *args).result(timeout=60)
+
+
+# Minor page faults of 20 S=64 [2,32,5] gradients after a warm-up. It runs in
+# a fresh interpreter: the allocator's trim threshold rises with the largest
+# block a process has freed and never falls, so in the test process earlier
+# tests would decide whether freshly allocated arrays fault.
+FAULT_PROBE = """
+import resource
+import numpy as np
+from bayesmeta import MLPModel, TaskData, VariationalParams
+
+rng = np.random.default_rng(0)
+model = MLPModel([2, 32, 5])
+data = TaskData(x_tr=rng.normal(size=(2, 25)), y_tr=rng.integers(0, 5, 25),
+                x_val=rng.normal(size=(2, 50)), y_val=rng.integers(0, 5, 50),
+                task_kind="classification")
+v = VariationalParams.from_var(0.5 * rng.normal(size=model.dim),
+                               rng.uniform(0.05, 0.3, model.dim))
+for seed in range(5):
+    model.nll_grad(v, data, "train", 64, seed)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for seed in range(20):
+    model.nll_grad(v, data, "train", 64, seed)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+class TestWorkBuffers:
+    def test_concurrent_passes_equal_serial(self):
+        cases = BUFFER_CASES[:4]
+        serial = [mlp_pass_bytes(case) for case in cases]
+        barrier = threading.Barrier(len(cases))
+
+        def run(case):
+            barrier.wait(timeout=10)
+            return [mlp_pass_bytes(case) for _ in range(5)]
+
+        old_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=len(cases)) as pool:
+                futures = [pool.submit(run, case) for case in cases]
+                results = [f.result(timeout=120) for f in futures]
+        finally:
+            sys.setswitchinterval(old_interval)
+        for want, got in zip(serial, results):
+            assert got == [want] * 5
+
+    def test_growing_and_shrinking_passes_equal_fresh_buffers(self):
+        order = BUFFER_CASES + BUFFER_CASES[::-1]
+        interleaved = in_fresh_thread(
+            lambda: [mlp_pass_bytes(case) for case in order])
+        for case, got in zip(order, interleaved):
+            assert got == in_fresh_thread(mlp_pass_bytes, case)
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="ru_minflt counts minor faults on Linux")
+    def test_gradients_take_no_page_faults(self):
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(inspect.getfile(MLPModel)).parents[1]))
+        run = subprocess.run([sys.executable, "-c", FAULT_PROBE], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert run.returncode == 0, run.stderr
+        assert int(run.stdout) < 20
