@@ -9,7 +9,7 @@ trace, with an exact linear-Gaussian oracle for validation.
 
 from .calibration import ece_mce, posterior_predictive_probs
 from .hyper_implicit import (CgConfig, NegativeCurvatureError, apply_g,
-                             conjugate_gradient, h_matvec,
+                             conjugate_gradient, h_operator,
                              implicit_meta_gradient)
 from .hyper_unrolled import fd_meta_gradient, unrolled_meta_gradient
 from .inner_opt import (InnerConfig, InnerDivergenceError, InnerTrace,
@@ -27,7 +27,7 @@ from .meta_loss import (MetaGradient, MetaLossSpec, meta_loss_grads,
 from .models import (GradientOracle, LinearGaussianModel, MLPModel, TaskData,
                      mlp_param_count)
 from .vi_core import (PriorParams, TangentVector, VariationalParams,
-                      derive_seed, kl_diag_gaussian, kl_grad, raw_to_log_grad,
-                      sample_params, standard_normal)
+                      central_fd, derive_seed, kl_diag_gaussian, kl_grad,
+                      raw_to_log_grad, sample_params, standard_normal)
 
 __version__ = "0.1.0"

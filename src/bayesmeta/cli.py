@@ -69,6 +69,9 @@ BLOB_TASK_DEFAULTS: Dict[str, Any] = {
     "blob_sigma": 0.5,
     "prior_init_var": 0.1,
 }
+# the config keys that go into a BlobTaskSpec
+BLOB_SPEC_KEYS = ("n_classes", "input_dim", "shots_tr", "shots_val",
+                  "class_spread", "blob_sigma", "n_tasks")
 
 SWEEP_DEFAULTS: Dict[str, Any] = {
     **LINEAR_TASK_DEFAULTS,
@@ -174,8 +177,20 @@ def _build(cls, fixed: Dict[str, Any], **fields):
 
 
 def _linear_spec(cfg: Dict[str, Any], seed: int, n_tasks: int) -> TaskGenSpec:
-    return _build(TaskGenSpec, {"n_tasks": n_tasks, "seed": seed},
+    return _build(TaskGenSpec, {"seed": seed}, n_tasks=("n_tasks", n_tasks),
                   **{key: (key, cfg[key]) for key in LINEAR_TASK_DEFAULTS})
+
+
+def _blob_spec(cfg: Dict[str, Any], task_seed: int) -> BlobTaskSpec:
+    """The blob task spec, once the network and prior keys are in range."""
+    if cfg["hidden"] < 1:
+        raise ConfigError(f"config key 'hidden' must be >= 1, "
+                          f"got {cfg['hidden']}")
+    if not 0 < cfg["prior_init_var"] < np.inf:
+        raise ConfigError(f"config key 'prior_init_var' must be positive "
+                          f"and finite, got {cfg['prior_init_var']}")
+    return _build(BlobTaskSpec, {"seed": task_seed},
+                  **{key: (key, cfg[key]) for key in BLOB_SPEC_KEYS})
 
 
 def _linear_setup(spec: TaskGenSpec):
@@ -187,13 +202,8 @@ def _linear_setup(spec: TaskGenSpec):
     return tasks, LinearGaussianModel(p), prior
 
 
-def _blob_setup(cfg: Dict[str, Any], task_seed: int):
+def _blob_setup(cfg: Dict[str, Any], spec: BlobTaskSpec):
     """Blob tasks, the MLP and its starting prior N(0, prior_init_var I)."""
-    spec = BlobTaskSpec(n_classes=cfg["n_classes"], input_dim=cfg["input_dim"],
-                        shots_tr=cfg["shots_tr"], shots_val=cfg["shots_val"],
-                        class_spread=cfg["class_spread"],
-                        blob_sigma=cfg["blob_sigma"], n_tasks=cfg["n_tasks"],
-                        seed=task_seed)
     model = MLPModel([cfg["input_dim"], cfg["hidden"], cfg["n_classes"]])
     prior = PriorParams(np.zeros(model.dim),
                         np.log(cfg["prior_init_var"]) * np.ones(model.dim))
@@ -361,11 +371,12 @@ def cmd_train(cfg: Dict[str, Any], seeds: List[int], workers: int):
     if dataset not in ("linear", "blob"):
         raise ConfigError(f"dataset must be linear or blob, got {dataset!r}")
     linear = dataset == "linear"
-    inner = _build(InnerConfig,
-                   # the linear model's expected nll is closed-form
-                   {"mc_budget": None if linear else cfg["mc_budget"]},
+    inner = _build(InnerConfig, {},
                    steps=("inner_steps", cfg["inner_steps"]),
-                   lr=("inner_lr", cfg["inner_lr"]))
+                   lr=("inner_lr", cfg["inner_lr"]),
+                   # the linear model's expected nll is closed-form
+                   mc_budget=("mc_budget",
+                              None if linear else cfg["mc_budget"]))
     cg = _build(CgConfig, {}, max_iters=("cg_iters", cfg["cg_iters"]),
                 rel_tol=("cg_rel_tol", cfg["cg_rel_tol"]),
                 abort_on_negative_curvature=("cg_abort_negative",
@@ -377,11 +388,12 @@ def cmd_train(cfg: Dict[str, Any], seeds: List[int], workers: int):
                       meta_lr=("meta_lr", cfg["meta_lr"]),
                       batch_size=("batch_size", cfg["batch_size"]),
                       iterations=("iterations", cfg["iterations"]))
-    spec = _linear_spec(cfg, seed, cfg["n_tasks"]) if linear else None
+    spec = (_linear_spec(cfg, seed, cfg["n_tasks"]) if linear
+            else _blob_spec(cfg, seed))
 
     def run(out_dir: Path) -> List[Path]:
         tasks, oracle, prior = (_linear_setup(spec) if linear
-                                else _blob_setup(cfg, seed))
+                                else _blob_setup(cfg, spec))
         if meta_cfg.method == "imaml_mode":
             prior = imaml_prior(prior.dim, prior.mean, cfg["imaml_lambda"])
         ckpt_path = out_dir / "checkpoint.json"
@@ -424,16 +436,21 @@ def cmd_train(cfg: Dict[str, Any], seeds: List[int], workers: int):
 def cmd_calibration(cfg: Dict[str, Any], seeds: List[int], workers: int):
     seed = seeds[0]
     mc = cfg["mc_budget"]
-    inner = _build(InnerConfig, {"mc_budget": mc},
+    inner = _build(InnerConfig, {},
                    steps=("inner_steps", cfg["inner_steps"]),
-                   lr=("inner_lr", cfg["inner_lr"]))
+                   lr=("inner_lr", cfg["inner_lr"]),
+                   mc_budget=("mc_budget", mc))
+    if cfg["n_bins"] < 1:
+        raise ConfigError(f"config key 'n_bins' must be >= 1, "
+                          f"got {cfg['n_bins']}")
     ckpt_path = Path(cfg["checkpoint"]) if cfg["checkpoint"] else None
     if ckpt_path is not None and not ckpt_path.is_file():
         raise ConfigError(f"config key 'checkpoint': no file {ckpt_path}")
+    # tasks held out from training
+    spec = _blob_spec(cfg, derive_seed(seed, 1))
 
     def run(out_dir: Path) -> List[Path]:
-        # tasks held out from training
-        tasks, model, prior = _blob_setup(cfg, derive_seed(seed, 1))
+        tasks, model, prior = _blob_setup(cfg, spec)
         if ckpt_path is not None:
             prior, _, _ = _read_checkpoint(ckpt_path, model.dim,
                                            "config key 'checkpoint'")

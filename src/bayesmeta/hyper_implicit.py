@@ -11,7 +11,7 @@ HVP plus elementwise products.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Callable, Tuple
 
 import numpy as np
 
@@ -48,45 +48,46 @@ def h_diag_blocks(prior: PriorParams, grad_var_tr: np.ndarray
     return d_inv, 0.5 * (d_inv + 2.0 * grad_var_tr) ** 2
 
 
-def h_matvec(oracle: GradientOracle, data: TaskData, v: VariationalParams,
-             prior: PriorParams, vec: TangentVector, mc_budget=None,
-             seed: int = 0, grad_var_tr: Optional[np.ndarray] = None
-             ) -> TangentVector:
-    """One application of H(v): an oracle HVP plus diagonal products.
+def h_operator(oracle: GradientOracle, data: TaskData, v: VariationalParams,
+               prior: PriorParams, grad_var_tr: np.ndarray, mc_budget=None,
+               seed: int = 0) -> Callable[[np.ndarray], np.ndarray]:
+    """H(v) as a matvec on (2p,) (mean, variance) arrays.
 
-    Always performs exactly one counted HVP call (no zero-vector
-    short-circuit at this layer, for cost-accounting honesty).
-    ``grad_var_tr`` may carry a precomputed train variance-gradient to avoid
-    re-evaluating it on every CG iteration.
+    ``grad_var_tr`` is the train expected-nll variance gradient at v. The
+    diagonal block is built here, once; each application of the returned
+    matvec makes exactly one counted oracle HVP (no zero-vector
+    short-circuit, for cost-accounting honesty) plus elementwise products.
     """
-    hvp = oracle.nll_hvp(v, data, "train", vec, mc_budget, seed)
-    if grad_var_tr is None:
-        grad_var_tr = oracle.nll_grad(v, data, "train", mc_budget, seed).wrt_var
-    diag_m, diag_d = h_diag_blocks(prior, grad_var_tr)
-    return TangentVector(hvp.wrt_mean + diag_m * vec.wrt_mean,
-                         hvp.wrt_var + diag_d * vec.wrt_var)
+    p = v.dim
+    diag = np.concatenate(h_diag_blocks(prior, grad_var_tr))
+
+    def matvec(x: np.ndarray) -> np.ndarray:
+        hvp = oracle.nll_hvp(v, data, "train",
+                             TangentVector._unchecked(x[:p], x[p:]),
+                             mc_budget, seed)
+        return np.concatenate([hvp.wrt_mean, hvp.wrt_var]) + diag * x
+    return matvec
 
 
-def conjugate_gradient(matvec: Callable[[TangentVector], TangentVector],
-                       rhs: TangentVector, cfg: CgConfig
-                       ) -> Tuple[TangentVector, int, float]:
+def conjugate_gradient(matvec: Callable[[np.ndarray], np.ndarray],
+                       b: np.ndarray, cfg: CgConfig
+                       ) -> Tuple[np.ndarray, int, float]:
     """Standard CG from the zero initial guess for a symmetric operator.
 
-    Stops at min(max_iters, first iterate with ||r|| <= rel_tol * ||rhs||).
+    Stops at min(max_iters, first iterate with ||r|| <= rel_tol * ||b||).
     Returns (solution, iterations, final relative residual).
     """
-    p = rhs.dim
-    b = rhs.concat()
+    b = np.asarray(b, dtype=np.float64)
     b_norm = float(np.linalg.norm(b))
     if b_norm == 0.0:
-        return TangentVector.zeros(p), 0, 0.0
-    x = np.zeros(2 * p)
+        return np.zeros_like(b), 0, 0.0
+    x = np.zeros_like(b)
     r = b.copy()
     d = r.copy()
     r_dot = float(r @ r)
     iters = 0
     for _ in range(cfg.max_iters):
-        hd = matvec(TangentVector.from_concat(d)).concat()
+        hd = matvec(d)
         if not np.all(np.isfinite(hd)):
             raise FloatingPointError("non-finite value in CG matvec")
         curvature = float(d @ hd)
@@ -106,21 +107,23 @@ def conjugate_gradient(matvec: Callable[[TangentVector], TangentVector],
         d = r + (new_r_dot / r_dot) * d
         r_dot = new_r_dot
     residual = float(np.sqrt(r_dot)) / b_norm
-    return TangentVector.from_concat(x), iters, residual
+    return x, iters, residual
 
 
-def apply_g(prior: PriorParams, grad_mean_tr: np.ndarray, u: TangentVector
-            ) -> TangentVector:
-    """G(v) u, elementwise: G has diagonal blocks only.
+def apply_g(prior: PriorParams, grad_mean_tr: np.ndarray, u: np.ndarray
+            ) -> np.ndarray:
+    """G(v) u on a (2p,) (mean, variance) array, elementwise: G has diagonal
+    blocks only.
 
     mean block: u_m / d; variance block: -grad_mean_tr * u_m / d + u_d / (2 d^2).
     """
     d = prior.var
-    if grad_mean_tr.shape != d.shape or u.dim != d.shape[0]:
+    p = d.shape[0]
+    if grad_mean_tr.shape != d.shape or u.shape != (2 * p,):
         raise ValueError("dimension mismatch")
-    um_over_d = u.wrt_mean / d
-    return TangentVector(um_over_d,
-                         -grad_mean_tr * um_over_d + 0.5 * u.wrt_var / d ** 2)
+    um_over_d = u[:p] / d
+    return np.concatenate([um_over_d,
+                           -grad_mean_tr * um_over_d + 0.5 * u[p:] / d ** 2])
 
 
 def implicit_meta_gradient(oracle: GradientOracle, data: TaskData,
@@ -133,28 +136,27 @@ def implicit_meta_gradient(oracle: GradientOracle, data: TaskData,
     ``mask_variance`` restricts the system and output to the mean block
     (frozen-variance reduction to the proximal-regularized special case).
     """
+    p = v_hat.dim
     _, grad1, grad2 = meta_loss_grads(oracle, data, v_hat, prior, meta_loss, seed)
     g_tr = oracle.nll_grad(v_hat, data, "train", mc_budget, seed)
+    h = h_operator(oracle, data, v_hat, prior, g_tr.wrt_var, mc_budget, seed)
+    b = grad1.concat()
     if mask_variance:
-        grad1 = TangentVector(grad1.wrt_mean, np.zeros(v_hat.dim))
+        b[p:] = 0.0
 
-    calls_before = oracle.hvp_calls
-
-    def matvec(vec: TangentVector) -> TangentVector:
-        if mask_variance:
-            vec = TangentVector(vec.wrt_mean, np.zeros(v_hat.dim))
-        out = h_matvec(oracle, data, v_hat, prior, vec, mc_budget, seed,
-                       grad_var_tr=g_tr.wrt_var)
-        if mask_variance:
-            out = TangentVector(out.wrt_mean, vec.wrt_var)  # identity off-block
+    def matvec(x: np.ndarray) -> np.ndarray:
+        out = h(x)
+        if mask_variance:  # CG from a zero variance block then keeps it zero
+            out[p:] = 0.0
         return out
 
-    u_hat, iters, residual = conjugate_gradient(matvec, grad1, cg)
+    calls_before = oracle.hvp_calls
+    u_hat, iters, residual = conjugate_gradient(matvec, b, cg)
     hvp_calls = oracle.hvp_calls - calls_before
 
-    g = apply_g(prior, g_tr.wrt_mean, u_hat) + grad2
+    g = apply_g(prior, g_tr.wrt_mean, u_hat) + grad2.concat()
     if mask_variance:
-        g = TangentVector(g.wrt_mean, np.zeros(v_hat.dim))
-    return MetaGradient.from_raw(g.wrt_mean, g.wrt_var, prior.var,
+        g[p:] = 0.0
+    return MetaGradient.from_raw(g[:p], g[p:], prior.var,
                                  hvp_calls=hvp_calls, cg_iters=iters,
                                  cg_residual=residual)

@@ -19,7 +19,7 @@ import numpy as np
 from .inner_opt import InnerConfig, InnerTrace, run_inner_gd
 from .meta_loss import MetaGradient, MetaLossSpec, meta_loss_grads, meta_loss_value
 from .models import GradientOracle, TaskData
-from .vi_core import PriorParams, TangentVector
+from .vi_core import PriorParams, TangentVector, central_fd
 
 FD_EPS_DEFAULT = 1e-5
 
@@ -98,24 +98,13 @@ def fd_meta_gradient(oracle: GradientOracle, data: TaskData,
     cfg = replace(inner_cfg, record_trace=False)
     p = prior.dim
 
-    def composed(mean, log_var):
-        pr = PriorParams(mean, log_var)
+    def composed(w):
+        pr = PriorParams(w[:p], w[p:])
         v, _ = run_inner_gd(oracle, data, pr, cfg, seed)
         return meta_loss_value(oracle, data, v, pr, spec, seed)
 
-    g_m = np.zeros(p)
-    g_l = np.zeros(p)
-    for i in range(p):
-        h = fd_eps * (1.0 + abs(prior.mean[i]))
-        e = np.zeros(p)
-        e[i] = h
-        g_m[i] = (composed(prior.mean + e, prior.log_var)
-                  - composed(prior.mean - e, prior.log_var)) / (2 * h)
-    for i in range(p):
-        h = fd_eps * (1.0 + abs(prior.log_var[i]))
-        e = np.zeros(p)
-        e[i] = h
-        g_l[i] = (composed(prior.mean, prior.log_var + e)
-                  - composed(prior.mean, prior.log_var - e)) / (2 * h)
-    g_d = g_l / prior.var
-    return MetaGradient(wrt_mean=g_m, wrt_var=g_d, wrt_log_var=g_l)
+    w = np.concatenate([prior.mean, prior.log_var])
+    g = central_fd(composed, w, fd_eps * (1.0 + np.abs(w)))
+    g_l = g[p:]
+    return MetaGradient(wrt_mean=g[:p], wrt_var=g_l / prior.var,
+                        wrt_log_var=g_l)

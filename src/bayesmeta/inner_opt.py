@@ -39,6 +39,8 @@ class InnerConfig:
             raise ValueError("steps must be >= 0")
         if self.lr <= 0:
             raise ValueError("lr must be positive")
+        if self.mc_budget is not None and self.mc_budget < 1:
+            raise ValueError("mc_budget must be None or >= 1")
 
 
 @dataclass

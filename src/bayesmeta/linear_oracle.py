@@ -16,7 +16,7 @@ from .hyper_implicit import h_diag_blocks
 from .inner_opt import closed_form_linear_optimum
 from .meta_loss import MetaGradient, MetaLossSpec, meta_loss_grads
 from .models import LinearGaussianModel, TaskData
-from .vi_core import PriorParams, VariationalParams
+from .vi_core import PriorParams, VariationalParams, central_fd
 
 DENSE_P_MAX = 64
 
@@ -84,24 +84,13 @@ def fd_jacobian_of_optimum(prior: PriorParams, data: TaskData,
     p = prior.dim
     _check_p(p)
 
-    def v_star_vec(mean, log_var):
-        vs = closed_form_linear_optimum(PriorParams(mean, log_var), data)
+    def v_star_vec(w):
+        vs = closed_form_linear_optimum(PriorParams(w[:p], w[p:]), data)
         return np.concatenate([vs.mean, vs.var])
 
-    jac = np.zeros((2 * p, 2 * p))
-    for i in range(p):
-        h = fd_eps * (1.0 + abs(prior.mean[i]))
-        e = np.zeros(p)
-        e[i] = h
-        jac[i] = (v_star_vec(prior.mean + e, prior.log_var)
-                  - v_star_vec(prior.mean - e, prior.log_var)) / (2 * h)
-    for i in range(p):
-        h = fd_eps * (1.0 + abs(prior.log_var[i]))
-        e = np.zeros(p)
-        e[i] = h
-        row_log = (v_star_vec(prior.mean, prior.log_var + e)
-                   - v_star_vec(prior.mean, prior.log_var - e)) / (2 * h)
-        jac[p + i] = row_log / prior.var[i]  # back to raw-d coordinates
+    w = np.concatenate([prior.mean, prior.log_var])
+    jac = central_fd(v_star_vec, w, fd_eps * (1.0 + np.abs(w)))
+    jac[p:] /= prior.var[:, None]  # back to raw-d coordinates
     return jac
 
 

@@ -59,6 +59,8 @@ class TaskGenSpec:
             raise ValueError("dim must be >= 1")
         if self.cond_kappa < 1:
             raise ValueError("cond_kappa must be >= 1")
+        if self.n_tasks < 1:
+            raise ValueError("n_tasks must be >= 1")
         if self.oracle_prior is None:
             self.oracle_prior = PriorParams(np.zeros(self.dim), np.zeros(self.dim))
 
@@ -116,6 +118,13 @@ class BlobTaskSpec:
     blob_sigma: float = 0.5    # within-class scatter
     n_tasks: int = 100
     seed: int = 0
+
+    def __post_init__(self):
+        for name in ("n_classes", "input_dim", "shots_val", "n_tasks"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
+        if self.shots_tr < 0:
+            raise ValueError("shots_tr must be >= 0")
 
 
 def generate_blob_tasks(spec: BlobTaskSpec) -> List[TaskData]:

@@ -15,7 +15,7 @@ from typing import List
 
 import numpy as np
 
-from .hyper_implicit import (CgConfig, conjugate_gradient, h_matvec,
+from .hyper_implicit import (CgConfig, conjugate_gradient, h_operator,
                              implicit_meta_gradient)
 from .hyper_unrolled import fd_meta_gradient, unrolled_meta_gradient
 from .inner_opt import (InnerConfig, closed_form_linear_optimum,
@@ -27,8 +27,8 @@ from .meta_loss import MetaLossSpec
 from .meta_driver import TaskGenSpec, generate_linear_tasks, imaml_prior
 from .models import LinearGaussianModel
 from .vi_core import (PriorParams, TangentVector, VariationalParams,
-                      derive_seed, kl_diag_gaussian, kl_grad, raw_to_log_grad,
-                      standard_normal)
+                      central_fd, derive_seed, kl_diag_gaussian, kl_grad,
+                      raw_to_log_grad, standard_normal)
 
 
 @dataclass
@@ -58,35 +58,23 @@ def _probe(matvec, n):
 
 def kl_grad_vs_fd(q, prior):
     """kl_grad in (m_q, d_q, m_p, d_p) vs central FD with relative steps."""
-    def f(qm, qd, pm, pd):
+    def f(x):
+        qm, qd, pm, pd = np.split(x, 4)
         return kl_diag_gaussian(VariationalParams.from_var(qm, qd),
                                 PriorParams.from_var(pm, pd))
 
-    base = [q.mean, q.var, prior.mean, prior.var]
-    p = q.dim
-    num = np.zeros(4 * p)
-    for block in range(4):
-        for i in range(p):
-            h = 1e-6 * (1 + abs(base[block][i]))
-            plus = [a.copy() for a in base]
-            minus = [a.copy() for a in base]
-            plus[block][i] += h
-            minus[block][i] -= h
-            num[block * p + i] = (f(*plus) - f(*minus)) / (2 * h)
+    x = np.concatenate([q.mean, q.var, prior.mean, prior.var])
     g_q, g_pr = kl_grad(q, prior)
-    return np.concatenate([g_q.wrt_mean, g_q.wrt_var,
-                           g_pr.wrt_mean, g_pr.wrt_var]), num
+    return (np.concatenate([g_q.wrt_mean, g_q.wrt_var,
+                            g_pr.wrt_mean, g_pr.wrt_var]),
+            central_fd(f, x, 1e-6 * (1 + np.abs(x))))
 
 
 def log_chain_rule_vs_fd(f, grad_d, d):
     """raw_to_log_grad(grad_d, d) vs central FD of f(exp(ell)), ell = log d."""
-    h = 1e-7
-    ell = np.log(d)
-    fd = np.zeros(len(d))
-    for i in range(len(d)):
-        e = h * np.eye(len(d))[i]
-        fd[i] = (f(np.exp(ell + e)) - f(np.exp(ell - e))) / (2 * h)
-    return raw_to_log_grad(grad_d, d), fd
+    return (raw_to_log_grad(grad_d, d),
+            central_fd(lambda ell: f(np.exp(ell)), np.log(d),
+                       np.full(len(d), 1e-7)))
 
 
 def nll_grad_vs_fd(model, data, v, eps=1e-7, mc_budget=None, seed=0):
@@ -94,19 +82,13 @@ def nll_grad_vs_fd(model, data, v, eps=1e-7, mc_budget=None, seed=0):
     MC oracles use common random numbers through ``seed``."""
     p = v.dim
 
-    def f(m, d):
-        return model.expected_nll(VariationalParams.from_var(m, d), data,
-                                  "train", mc_budget, seed)
+    def f(x):
+        return model.expected_nll(VariationalParams.from_var(x[:p], x[p:]),
+                                  data, "train", mc_budget, seed)
 
-    num = np.zeros(2 * p)
-    for i in range(p):
-        h = eps * (1 + abs(v.mean[i]))
-        e = h * np.eye(p)[i]
-        num[i] = (f(v.mean + e, v.var) - f(v.mean - e, v.var)) / (2 * h)
-        h = eps * v.var[i]
-        e = h * np.eye(p)[i]
-        num[p + i] = (f(v.mean, v.var + e) - f(v.mean, v.var - e)) / (2 * h)
-    return model.nll_grad(v, data, "train", mc_budget, seed).concat(), num
+    steps = np.concatenate([eps * (1 + np.abs(v.mean)), eps * v.var])
+    return (model.nll_grad(v, data, "train", mc_budget, seed).concat(),
+            central_fd(f, np.concatenate([v.mean, v.var]), steps))
 
 
 def nll_hvp_vs_dense_fd(model, data, v):
@@ -114,7 +96,7 @@ def nll_hvp_vs_dense_fd(model, data, v):
     # quadratic objective: a larger step adds no bias but kills cancellation
     n = 2 * v.dim
     probed = _probe(lambda e: model.nll_hvp(
-        v, data, "train", TangentVector.from_concat(e)).concat(), n)
+        v, data, "train", TangentVector(e[:v.dim], e[v.dim:])).concat(), n)
 
     def f(vec):
         return model.expected_nll(
@@ -137,19 +119,16 @@ def nll_hvp_vs_dense_fd(model, data, v):
 
 def cg_vs_dense_solve(spd, b, max_iters):
     """CG on the SPD system spd x = b (rel_tol 0) vs np.linalg.solve."""
-    sol, _, _ = conjugate_gradient(
-        lambda t: TangentVector.from_concat(spd @ t.concat()),
-        TangentVector.from_concat(b), CgConfig(max_iters=max_iters,
-                                               rel_tol=0.0))
-    return sol.concat(), np.linalg.solve(spd, b)
+    sol, _, _ = conjugate_gradient(lambda x: spd @ x, b,
+                                   CgConfig(max_iters=max_iters, rel_tol=0.0))
+    return sol, np.linalg.solve(spd, b)
 
 
 def h_matvec_vs_dense(model, data, v, prior):
-    """h_matvec probed on unit vectors vs the dense assembled H."""
-    probed = _probe(lambda e: h_matvec(model, data, v, prior,
-                                       TangentVector.from_concat(e)).concat(),
-                    2 * v.dim)
-    return probed, oracle_dense_h(prior, data, v)
+    """h_operator's matvec probed on unit vectors vs the dense assembled H."""
+    g_var = model.nll_grad(v, data, "train").wrt_var
+    return (_probe(h_operator(model, data, v, prior, g_var), 2 * v.dim),
+            oracle_dense_h(prior, data, v))
 
 
 def log_stationarity(model, data, v, prior):
@@ -179,17 +158,17 @@ def imaml_jacobian_vs_dense(model, data, prior, lam):
     """Frozen-variance mean-block Jacobian from CG vs (H/lambda + I)^-1."""
     p = prior.dim
     v_fix = VariationalParams.from_prior(prior)
-    g_tr = model.nll_grad(v_fix, data, "train")
+    h = h_operator(model, data, v_fix, prior,
+                   model.nll_grad(v_fix, data, "train").wrt_var)
 
-    def mv(t):
-        out = h_matvec(model, data, v_fix, prior,
-                       TangentVector(t.wrt_mean, np.zeros(p)),
-                       grad_var_tr=g_tr.wrt_var)
-        return TangentVector(out.wrt_mean, t.wrt_var)
+    def mv(x):  # the mean block of H; identity on the variance block
+        out = h(np.concatenate([x[:p], np.zeros(p)]))
+        out[p:] = x[p:]
+        return out
 
     jac = _probe(lambda e: conjugate_gradient(
-        mv, TangentVector(e, np.zeros(p)),
-        CgConfig(max_iters=4 * p, rel_tol=0.0))[0].wrt_mean / prior.var, p)
+        mv, np.concatenate([e, np.zeros(p)]),
+        CgConfig(max_iters=4 * p, rel_tol=0.0))[0][:p] / prior.var, p)
     hess_m = data.x_tr @ data.x_tr.T / data.noise_sigma ** 2
     return jac, np.linalg.inv(hess_m / lam + np.eye(p))
 
@@ -296,7 +275,7 @@ def run_all_checks() -> List[CheckResult]:
         record(f"lemma1_jacobian_vs_fd_p{p_l}", rel_err(*lemma1_jacobian_vs_fd(
             _prior(p_l, seed=20 + p_l), _task(p=p_l, seed=20 + p_l))), 1e-4)
 
-    # h_matvec probing reproduces the dense H
+    # probing H's matvec reproduces the dense H
     p = 3
     data = _task(p=p, seed=9)
     prior = _prior(p, seed=9)

@@ -121,12 +121,6 @@ class TangentVector:
         return np.concatenate([self.wrt_mean, self.wrt_var])
 
     @classmethod
-    def from_concat(cls, vec: np.ndarray) -> "TangentVector":
-        vec = np.asarray(vec, dtype=np.float64)
-        p = vec.shape[0] // 2
-        return cls(vec[:p], vec[p:])
-
-    @classmethod
     def zeros(cls, p: int) -> "TangentVector":
         return cls(np.zeros(p), np.zeros(p))
 
@@ -214,6 +208,21 @@ def sample_params(q: VariationalParams, n: int, seed: int) -> np.ndarray:
         raise ValueError("n must be >= 1")
     eps = standard_normal((n, q.dim), seed)
     return q.mean[None, :] + np.sqrt(q.var)[None, :] * eps
+
+
+def central_fd(f, x: np.ndarray, steps) -> np.ndarray:
+    """Central finite differences of ``f`` at ``x``, one coordinate at a time.
+
+    Row i is (f(x + h_i e_i) - f(x - h_i e_i)) / (2 h_i) with h_i = steps[i];
+    ``f`` may return a scalar or an array (the result is then a Jacobian
+    with one row per coordinate).
+    """
+    rows = []
+    for i, h in enumerate(steps):
+        e = np.zeros_like(x)
+        e[i] = h
+        rows.append((f(x + e) - f(x - e)) / (2 * h))
+    return np.array(rows)
 
 
 def raw_to_log_grad(grad_wrt_d: np.ndarray, d: np.ndarray) -> np.ndarray:

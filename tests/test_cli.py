@@ -384,6 +384,12 @@ class TestConfig:
         ("nrmse-sweep", ["loss_kind=foo"], "loss_kind"),
         ("bench", ["cg_rel_tol=-1"], "cg_rel_tol"),
         ("calibration", ["inner_lr=0"], "inner_lr"),
+        *[("calibration", [f"{key}=0"], key)
+          for key in ("n_bins", "n_tasks", "mc_budget", "hidden", "shots_val",
+                      "input_dim", "n_classes", "prior_init_var")],
+        ("train", ["n_tasks=0"], "n_tasks"),
+        *[("train", ["dataset=blob", f"{key}=0"], key)
+          for key in ("mc_budget", "hidden", "shots_val", "prior_init_var")],
     ])
     def test_out_of_range_value_exits_2_naming_key(self, tmp_path, capsys,
                                                    command, items, named):

@@ -6,15 +6,22 @@ come from bayesmeta.verify."""
 import numpy as np
 import pytest
 
-from bayesmeta import (CgConfig, InnerConfig, LinearGaussianModel,
-                       MetaLossSpec, NegativeCurvatureError, PriorParams,
-                       TangentVector, apply_g, closed_form_linear_optimum,
-                       conjugate_gradient, h_matvec, imaml_prior,
+from bayesmeta import (BlobTaskSpec, CgConfig, InnerConfig,
+                       LinearGaussianModel, MetaLossSpec, MLPModel,
+                       NegativeCurvatureError, PriorParams, apply_g,
+                       closed_form_linear_optimum, conjugate_gradient,
+                       generate_blob_tasks, h_operator, imaml_prior,
                        implicit_meta_gradient, meta_loss_grads, nrmse,
                        oracle_dense_g, oracle_meta_gradient, run_inner_gd)
 from bayesmeta.verify import (cg_vs_dense_solve, h_matvec_vs_dense,
                               lemma1_jacobian_vs_fd, rel_err)
 from helpers import random_prior, small_task
+
+
+def h_at(model, data, v, prior):
+    """H(v)'s matvec, its diagonal built from the train variance gradient."""
+    return h_operator(model, data, v, prior,
+                      model.nll_grad(v, data, "train").wrt_var)
 
 
 class TestHMatvec:
@@ -31,49 +38,44 @@ class TestHMatvec:
         p = 3
         data = small_task(p, n=6, seed=2)
         prior = random_prior(p, 2)
-        model = LinearGaussianModel(p)
         v_star = closed_form_linear_optimum(prior, data)
+        h = h_at(LinearGaussianModel(p), data, v_star, prior)
         for i in range(p):
-            e = np.zeros(p)
-            e[i] = 1.0
-            out = h_matvec(model, data, v_star, prior,
-                           TangentVector(np.zeros(p), e))
-            assert out.wrt_var[i] == pytest.approx(0.5 / v_star.var[i] ** 2,
-                                                   rel=1e-10)
+            out = h(np.eye(2 * p)[p + i])
+            assert out[p + i] == pytest.approx(0.5 / v_star.var[i] ** 2,
+                                               rel=1e-10)
 
     def test_zero_vector_counts_one_hvp(self):
         p = 3
         data = small_task(p, n=6, seed=3)
         model = LinearGaussianModel(p)
-        before = model.hvp_calls
-        out = h_matvec(model, data, closed_form_linear_optimum(
-            random_prior(p, 3), data), random_prior(p, 3),
-            TangentVector.zeros(p))
-        assert np.allclose(out.concat(), 0.0)
-        assert model.hvp_calls == before + 1
+        prior = random_prior(p, 3)
+        h = h_at(model, data, closed_form_linear_optimum(prior, data), prior)
+        hvp0, grad0 = model.hvp_calls, model.grad_counter.count
+        assert np.allclose(h(np.zeros(2 * p)), 0.0)
+        assert model.hvp_calls == hvp0 + 1
+        assert model.grad_counter.count == grad0
 
     def test_symmetry_as_bilinear_form(self):
         p = 4
         data = small_task(p, n=6, seed=4)
         prior = random_prior(p, 4)
         model = LinearGaussianModel(p)
-        v = closed_form_linear_optimum(prior, data)
+        h = h_at(model, data, closed_form_linear_optimum(prior, data), prior)
         rng = np.random.default_rng(5)
         for _ in range(5):
-            u = TangentVector.from_concat(rng.normal(size=2 * p))
-            w = TangentVector.from_concat(rng.normal(size=2 * p))
-            lhs = w.concat() @ h_matvec(model, data, v, prior, u).concat()
-            rhs = u.concat() @ h_matvec(model, data, v, prior, w).concat()
-            assert abs(lhs - rhs) <= 1e-6 * (1 + np.linalg.norm(u.concat())
-                                             * np.linalg.norm(w.concat()))
+            u = rng.normal(size=2 * p)
+            w = rng.normal(size=2 * p)
+            assert abs(w @ h(u) - u @ h(w)) <= 1e-6 * (
+                1 + np.linalg.norm(u) * np.linalg.norm(w))
 
 
 class TestConjugateGradient:
     def test_identity_system(self):
-        rhs = TangentVector.from_concat(np.array([1.0, -2.0, 3.0, 0.5]))
+        rhs = np.array([1.0, -2.0, 3.0, 0.5])
         x, iters, residual = conjugate_gradient(lambda t: t, rhs,
                                                 CgConfig(max_iters=10))
-        assert np.allclose(x.concat(), rhs.concat(), atol=1e-14)
+        assert np.allclose(x, rhs, atol=1e-14)
         assert iters == 1
         assert residual <= 1e-14
 
@@ -104,10 +106,8 @@ class TestConjugateGradient:
 
         def solve(budget):
             x, iters, _ = conjugate_gradient(
-                lambda t: TangentVector.from_concat(spd @ t.concat()),
-                TangentVector.from_concat(b),
-                CgConfig(max_iters=budget, rel_tol=0.0))
-            err = x.concat() - ref
+                lambda t: spd @ t, b, CgConfig(max_iters=budget, rel_tol=0.0))
+            err = x - ref
             return iters, float(err @ (spd @ err))  # energy-norm error
 
         iters1, e1 = solve(1)
@@ -116,29 +116,24 @@ class TestConjugateGradient:
         assert e2 < e1
 
     def test_zero_rhs(self):
-        x, iters, residual = conjugate_gradient(lambda t: t,
-                                                TangentVector.zeros(3),
+        x, iters, residual = conjugate_gradient(lambda t: t, np.zeros(6),
                                                 CgConfig(max_iters=5))
-        assert np.allclose(x.concat(), 0.0)
+        assert np.allclose(x, 0.0)
         assert iters == 0 and residual == 0.0
 
     def test_negative_curvature_abort(self):
         neg = -np.eye(4)
         with pytest.raises(NegativeCurvatureError):
-            conjugate_gradient(
-                lambda t: TangentVector.from_concat(neg @ t.concat()),
-                TangentVector.from_concat(np.ones(4)),
-                CgConfig(max_iters=3))
+            conjugate_gradient(lambda t: neg @ t, np.ones(4),
+                               CgConfig(max_iters=3))
         # with the abort disabled, CG stops quietly instead
         x, iters, _ = conjugate_gradient(
-            lambda t: TangentVector.from_concat(neg @ t.concat()),
-            TangentVector.from_concat(np.ones(4)),
+            lambda t: neg @ t, np.ones(4),
             CgConfig(max_iters=3, abort_on_negative_curvature=False))
         assert iters == 0
 
     def test_rel_tol_early_stop(self):
-        rhs = TangentVector.from_concat(np.ones(4))
-        _, iters, residual = conjugate_gradient(lambda t: t, rhs,
+        _, iters, residual = conjugate_gradient(lambda t: t, np.ones(4),
                                                 CgConfig(max_iters=10,
                                                          rel_tol=1e-6))
         assert iters == 1 and residual <= 1e-6
@@ -146,17 +141,16 @@ class TestConjugateGradient:
 
 class TestApplyG:
     def test_zero_input(self):
-        out = apply_g(random_prior(3), np.zeros(3), TangentVector.zeros(3))
-        assert np.allclose(out.concat(), 0.0)
+        out = apply_g(random_prior(3), np.zeros(3), np.zeros(6))
+        assert np.allclose(out, 0.0)
 
     def test_unit_prior_variance_case(self):
         p = 3
         prior = PriorParams(np.zeros(p), np.zeros(p))
-        rng = np.random.default_rng(8)
-        u = TangentVector(rng.normal(size=p), rng.normal(size=p))
+        u = np.random.default_rng(8).normal(size=2 * p)
         out = apply_g(prior, np.zeros(p), u)
-        assert np.allclose(out.wrt_mean, u.wrt_mean)
-        assert np.allclose(out.wrt_var, u.wrt_var / 2)
+        assert np.allclose(out[:p], u[:p])
+        assert np.allclose(out[p:], u[p:] / 2)
 
     def test_matches_dense_g(self):
         p = 4
@@ -166,10 +160,9 @@ class TestApplyG:
         v = closed_form_linear_optimum(prior, data)
         g_dense = oracle_dense_g(prior, data, v)
         g_mean_tr = model.nll_grad(v, data, "train").wrt_mean
-        rng = np.random.default_rng(10)
-        u = TangentVector.from_concat(rng.normal(size=2 * p))
-        want = g_dense @ u.concat()
-        got = apply_g(prior, g_mean_tr, u).concat()
+        u = np.random.default_rng(10).normal(size=2 * p)
+        want = g_dense @ u
+        got = apply_g(prior, g_mean_tr, u)
         assert np.linalg.norm(got - want) <= 1e-12 * (1 + np.linalg.norm(want))
 
 
@@ -217,6 +210,38 @@ class TestImplicitMetaGradient:
             assert g.hvp_calls == g.cg_iters
             calls[k] = g.hvp_calls
         assert calls[1] == calls[100]
+
+    @pytest.mark.parametrize("budget", [1, 3, 8])
+    def test_linear_oracle_cost_is_two_gradients(self, budget):
+        # the val and train gradients; CG adds HVPs only
+        p = 4
+        data = small_task(p, n=6, seed=17)
+        prior = random_prior(p, 17)
+        model = LinearGaussianModel(p)
+        v = closed_form_linear_optimum(prior, data)
+        grad0 = model.grad_counter.count
+        g = implicit_meta_gradient(model, data, v, prior, MetaLossSpec(),
+                                   CgConfig(max_iters=budget, rel_tol=0.0))
+        assert model.grad_counter.count - grad0 == 2
+        assert g.hvp_calls == g.cg_iters == budget
+
+    @pytest.mark.parametrize("budget", [1, 3])
+    def test_mlp_oracle_cost_is_two_gradients_per_hvp(self, budget):
+        # the MLP's FD HVP is two gradients, and nothing else re-evaluates one
+        model = MLPModel([2, 4, 3])
+        data = generate_blob_tasks(BlobTaskSpec(n_classes=3, n_tasks=1,
+                                                seed=19))[0]
+        prior = PriorParams(np.zeros(model.dim),
+                            np.log(0.1) * np.ones(model.dim))
+        v, _ = run_inner_gd(model, data, prior,
+                            InnerConfig(steps=5, lr=0.01, mc_budget=8))
+        grad0 = model.grad_counter.count
+        g = implicit_meta_gradient(
+            model, data, v, prior, MetaLossSpec(mc_budget=8),
+            CgConfig(max_iters=budget, rel_tol=0.0,
+                     abort_on_negative_curvature=False), mc_budget=8)
+        assert g.hvp_calls >= 1
+        assert model.grad_counter.count - grad0 == 2 + 2 * g.hvp_calls
 
     def test_hvp_calls_bounded_by_budget(self):
         p = 4
