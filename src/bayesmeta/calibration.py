@@ -53,8 +53,9 @@ def posterior_predictive_probs(model, v, data, mc_budget: int, seed: int
     Returns (probs (N, C), labels (N,)).
     """
     x, y = data.split("val")
-    theta, _ = model._sample(v, mc_budget, seed)
-    out, _, _ = model._forward(theta, x)  # (S, C, N)
+    theta, _, _ = model._sample(v.mean[None], v.log_var[None], mc_budget,
+                                [seed])
+    out, _, _ = model._forward(theta[0], x)  # (S, C, N)
     z = out - out.max(axis=1, keepdims=True)
     p = np.exp(z)
     p /= p.sum(axis=1, keepdims=True)

@@ -61,6 +61,13 @@ class TaskGenSpec:
             raise ValueError("cond_kappa must be >= 1")
         if self.n_tasks < 1:
             raise ValueError("n_tasks must be >= 1")
+        if not self.noise_sigma > 0:
+            raise ValueError("noise_sigma must be positive")
+        if self.n_val < 1:
+            raise ValueError("n_val must be >= 1")
+        if self.n_tr < self.dim:
+            raise ValueError(
+                "n_tr >= dim required for the exact-condition design")
         if self.oracle_prior is None:
             self.oracle_prior = PriorParams(np.zeros(self.dim), np.zeros(self.dim))
 
@@ -81,8 +88,6 @@ def generate_linear_tasks(spec: TaskGenSpec
     Returns (tasks, true task weights of shape (n_tasks, p)).
     """
     p, n_tr, n_val = spec.dim, spec.n_tr, spec.n_val
-    if n_tr < p:
-        raise ValueError("n_tr >= dim required for the exact-condition design")
     prior = spec.oracle_prior
     sing = spec.design_scale * np.geomspace(1.0, 1.0 / spec.cond_kappa, p)
     tasks = []

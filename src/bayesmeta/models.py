@@ -115,17 +115,9 @@ class GradientOracle:
         blocks of each task's :meth:`nll_grad`, bit for bit, and counts B
         gradients. An implementation computes what depends on the tasks
         alone once, here, and may return the same array on every call, so
-        callers must not write to the blocks. This default calls
-        ``nll_grad`` once per task.
+        callers must not write to the blocks.
         """
-        def grad(mean, log_var, seeds):
-            g_mean, g_var = np.empty_like(mean), np.empty_like(log_var)
-            for i, data in enumerate(tasks):
-                v = VariationalParams._unchecked(mean[i], log_var[i])
-                g = self.nll_grad(v, data, split, mc_budget, seeds[i])
-                g_mean[i], g_var[i] = g.wrt_mean, g.wrt_var
-            return g_mean, g_var
-        return grad
+        raise NotImplementedError
 
 
 class LinearGaussianModel(GradientOracle):
@@ -214,10 +206,10 @@ class LinearGaussianModel(GradientOracle):
 
 
 # Grow-only float64 work buffers, one set per thread, for the MLP's large
-# arrays: the (S, p) samples, and per pass the (S, width, N) layer outputs and
-# deltas and the (S, p) gradients. Fresh arrays would fault their pages in
-# again on each pass, whenever the allocator has handed the freed heap top
-# back to the OS.
+# arrays: the (B, S, p) samples, and per pass the (B, S, width, N) layer
+# outputs and deltas and the (B, S, p) gradients. Fresh arrays would fault
+# their pages in again on each pass, whenever the allocator has handed the
+# freed heap top back to the OS.
 _work = threading.local()
 
 
@@ -242,6 +234,30 @@ def mlp_param_count(widths: Sequence[int]) -> int:
                for i in range(len(widths) - 1))
 
 
+class _TaskStack:
+    """One split of B tasks of one kind, design shape and memory layout,
+    stacked for an MLP pass: the (B, 1, w_in, N) inputs, which broadcast over
+    the samples, and the targets with the index arrays the nll reads them by.
+
+    ``np.stack`` keeps the tasks' (C or Fortran) order, on which the BLAS
+    kernels of the backward pass, and so its bits, depend.
+    """
+
+    def __init__(self, tasks: Sequence[TaskData], split: str):
+        xs, ys = zip(*(data.split(split) for data in tasks))
+        self.x = np.stack(xs)[:, None]
+        self.regression = tasks[0].task_kind == "regression"
+        if self.regression:
+            self.y = np.array(ys)[:, None, :]  # (B, 1, N)
+            self.s2 = np.array([data.noise_sigma ** 2
+                                for data in tasks])[:, None]  # (B, 1)
+        else:
+            # out[b, s, labels[b, n], n] is out[rows, :, labels, cols]
+            self.labels = np.array(ys, dtype=int)  # (B, N)
+            self.rows = np.arange(len(tasks))[:, None]
+            self.cols = np.arange(self.labels.shape[1])
+
+
 class MLPModel(GradientOracle):
     """Tanh MLP with Monte Carlo expected nll and manual reverse-mode gradients.
 
@@ -252,8 +268,13 @@ class MLPModel(GradientOracle):
     The HVP is (g(v + h vec) - g(v - h vec)) / (2h) with the same seed on both
     sides, h = FD_EPSILON * (1 + ||v||_inf) / max(||vec||_inf, tiny).
 
-    The passes keep their large arrays in this thread's work buffers (see
-    ``_work_views``), so instances may be shared across threads.
+    Every value and gradient comes from one pass over stacked (B, S, ...)
+    arrays, each task with its own inputs, targets and draws: B=1 for
+    :meth:`expected_nll` and :meth:`nll_grad`, B=2 for the HVP's two sides
+    and one row per task for :meth:`batch_nll_grad`. Tasks are independent,
+    so each row gets the bits of a pass of its own. The passes keep their
+    large arrays in this thread's work buffers (see ``_work_views``), so
+    instances may be shared across threads.
     """
 
     def __init__(self, widths: Sequence[int]):
@@ -262,77 +283,79 @@ class MLPModel(GradientOracle):
         self.dim = mlp_param_count(self.widths)
 
     def _unpack(self, params: np.ndarray):
-        """Split (S, p) parameter rows into per-layer weights/biases."""
+        """Split (..., p) parameter rows into per-layer weights/biases."""
+        lead = params.shape[:-1]
         out = []
         ofs = 0
         for i in range(len(self.widths) - 1):
             n_in, n_out = self.widths[i], self.widths[i + 1]
-            w = params[:, ofs:ofs + n_out * n_in].reshape(-1, n_out, n_in)
+            w = params[..., ofs:ofs + n_out * n_in].reshape(*lead, n_out, n_in)
             ofs += n_out * n_in
-            b = params[:, ofs:ofs + n_out]
+            b = params[..., ofs:ofs + n_out]
             ofs += n_out
             out.append((w, b))
         return out
 
-    def _pass_views(self, s: int, n: int):
-        """Work-buffer views for one pass of S samples over N inputs: the
-        (S, width, N) layer outputs, one back-propagated (S, width, N) delta
-        per hidden layer, and the (S, p) gradients."""
-        outs = [(s, w, n) for w in self.widths[1:]]
-        deltas = [(s, w, n) for w in self.widths[1:-1]]
-        views = _work_views("mlp_pass", outs + deltas + [(s, self.dim)])
+    def _pass_views(self, lead, n: int):
+        """Work-buffer views for one pass of ``lead`` (S or (B, S)) samples
+        over N inputs: the (..., width, N) layer outputs, one back-propagated
+        (..., width, N) delta per hidden layer, and the (..., p) gradients."""
+        outs = [(*lead, w, n) for w in self.widths[1:]]
+        deltas = [(*lead, w, n) for w in self.widths[1:-1]]
+        views = _work_views("mlp_pass", outs + deltas + [(*lead, self.dim)])
         return views[:len(outs)], views[len(outs):-1], views[-1]
 
     def _forward(self, params: np.ndarray, x: np.ndarray):
-        """Forward pass for S parameter samples over N inputs.
+        """Forward pass of parameter samples (..., p) over inputs
+        (..., w_in, N) whose leading axes broadcast against them.
 
-        Returns the output (S, w_out, N), the per-layer activations needed
+        Returns the output (..., w_out, N), the per-layer activations needed
         for backprop and the per-layer weights. The output and the hidden
         activations are views into this thread's work buffer, valid until
         the next MLP pass on the same thread: use them at once.
         """
         layers = self._unpack(params)
-        outs, _, _ = self._pass_views(params.shape[0], x.shape[1])
-        acts = [x]  # matmul broadcasts the (w_in, N) inputs over samples
+        outs, _, _ = self._pass_views(params.shape[:-1], x.shape[-1])
+        acts = [x]  # matmul broadcasts the inputs over samples
         h = x
         for li, (w, b) in enumerate(layers):
             z = np.matmul(w, h, out=outs[li])
-            z += b[:, :, None]
+            z += b[..., None]
             h = np.tanh(z, out=z) if li < len(layers) - 1 else z
             acts.append(h)
         return h, acts, layers
 
-    def _per_sample_nll(self, out: np.ndarray, y: np.ndarray, data: TaskData):
-        """nll per MC sample (summed over data points) and d nll / d out."""
-        if data.task_kind == "regression":
-            resid = out[:, 0, :] - y[None, :]
-            s2 = data.noise_sigma ** 2
-            nll = 0.5 * np.sum(resid ** 2, axis=1) / s2
+    def _per_sample_nll(self, out: np.ndarray, stack: _TaskStack):
+        """(B, S) nll per MC sample (summed over data points) and d nll / d
+        out, for the (B, S, w_out, N) outputs of ``stack``'s tasks."""
+        if stack.regression:
+            resid = out[..., 0, :] - stack.y
+            nll = 0.5 * np.sum(resid ** 2, axis=-1) / stack.s2
             dout = np.zeros_like(out)
-            dout[:, 0, :] = resid / s2
+            dout[..., 0, :] = resid / stack.s2[..., None]
             return nll, dout
         # softmax cross-entropy with integer labels
-        labels = y.astype(int)
-        z = out - out.max(axis=1, keepdims=True)
-        logp = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
-        n = np.arange(out.shape[2])
-        nll = -logp[:, labels, n].sum(axis=1)
+        z = out - out.max(axis=-2, keepdims=True)
+        logp = z - np.log(np.exp(z).sum(axis=-2, keepdims=True))
+        picked = (stack.rows, slice(None), stack.labels, stack.cols)
+        nll = -logp[picked].sum(axis=1)  # (B, N, S) summed over N
         dout = np.exp(logp)
-        dout[:, labels, n] -= 1.0
+        dout[picked] -= 1.0
         return nll, dout
 
     def _backward(self, acts, layers, dout: np.ndarray) -> np.ndarray:
-        """Accumulate d nll / d params, returning (S, p) gradients in this
+        """Accumulate d nll / d params, returning (..., p) gradients in this
         thread's work buffer. Overwrites the hidden activations."""
         n_layers = len(layers)
-        _, deltas, g_theta = self._pass_views(dout.shape[0], dout.shape[2])
+        lead = dout.shape[:-2]
+        _, deltas, g_theta = self._pass_views(lead, dout.shape[-1])
         grads = [None] * n_layers
         delta = dout
         for li in range(n_layers - 1, -1, -1):
             w, _ = layers[li]
             h_in = acts[li]
             gw = delta @ h_in.swapaxes(-1, -2)
-            gb = delta.sum(axis=2)
+            gb = delta.sum(axis=-1)
             grads[li] = (gw, gb)
             if li > 0:
                 delta = np.matmul(w.swapaxes(-1, -2), delta,
@@ -342,80 +365,128 @@ class MLPModel(GradientOracle):
                 np.subtract(1.0, slope, out=slope)
                 delta *= slope
         return np.concatenate([part for gw, gb in grads
-                               for part in (gw.reshape(gw.shape[0], -1), gb)],
-                              axis=1, out=g_theta)
+                               for part in (gw.reshape(*lead, -1), gb)],
+                              axis=-1, out=g_theta)
 
-    def _sample(self, v: VariationalParams, mc_budget: int, seed: int):
-        """Antithetic reparameterized samples (S, p) and their eps draws.
+    def _sample(self, mean: np.ndarray, log_var: np.ndarray, mc_budget: int,
+                seeds):
+        """Antithetic reparameterized samples (B, S, p) of B points (mean,
+        log-variance rows), with their eps draws and the (B, p) standard
+        deviations. ``seeds`` holds one seed per row, or one seed whose
+        (1, S, p) draws every row shares.
 
         Pairing eps with -eps cancels odd-order MC noise in the pathwise
         variance gradient exactly; an odd budget leaves one unpaired draw.
-        Both are views into this thread's sample buffer, valid until the
-        next ``_sample`` on the same thread.
+        The samples and draws are views into this thread's sample buffer,
+        valid until the next ``_sample`` on the same thread.
         """
+        b, p = mean.shape
         half = (mc_budget + 1) // 2
-        draws = standard_normal((half, v.dim), seed)
-        eps, theta = _work_views("mlp_sample", [(2 * half, v.dim),
-                                                (mc_budget, v.dim)])
-        eps[:half] = draws
-        np.negative(draws, out=eps[half:])
-        eps = eps[:mc_budget]
-        np.multiply(np.sqrt(v.var)[None, :], eps, out=theta)
-        theta += v.mean[None, :]
-        return theta, eps
+        eps, theta = _work_views("mlp_sample", [(len(seeds), mc_budget, p),
+                                                (b, mc_budget, p)])
+        for i, seed in enumerate(seeds):
+            draws = standard_normal((half, p), seed)
+            eps[i, :half] = draws
+            np.negative(draws[:mc_budget - half], out=eps[i, half:])
+        sqrt_d = np.sqrt(np.exp(log_var))
+        np.multiply(sqrt_d[:, None, :], eps, out=theta)
+        theta += mean[:, None, :]
+        return theta, eps, sqrt_d
 
-    def _check(self, v: VariationalParams, mc_budget):
-        if v.dim != self.dim:
+    def _grads(self, mean: np.ndarray, log_var: np.ndarray, stack: _TaskStack,
+               mc_budget: int, seeds):
+        """The (B, p) mean and variance blocks of each row's nll gradient:
+        backprop through the stacked pass, then the pathwise rule."""
+        theta, eps, sqrt_d = self._sample(mean, log_var, mc_budget, seeds)
+        out, acts, layers = self._forward(theta, stack.x)
+        _, dout = self._per_sample_nll(out, stack)
+        g_theta = self._backward(acts, layers, dout)  # (B, S, p)
+        # pathwise rule: d theta / d d = eps / (2 sqrt d)
+        g_mean = g_theta.mean(axis=1)
+        g_theta *= eps
+        g_theta /= (2.0 * np.maximum(sqrt_d, 1e-300))[:, None, :]
+        return g_mean, g_theta.mean(axis=1)
+
+    def _check(self, dim: int, mc_budget):
+        if dim != self.dim:
             raise ValueError(
-                f"parameter count mismatch: network has {self.dim}, got {v.dim}")
+                f"parameter count mismatch: network has {self.dim}, got {dim}")
         if mc_budget is None or mc_budget < 1:
             raise ValueError("mc_budget must be >= 1")
 
     def expected_nll(self, v, data, split, mc_budget=None, seed=0) -> float:
-        self._check(v, mc_budget)
-        x, y = data.split(split)
-        theta, _ = self._sample(v, mc_budget, seed)
-        out, _, _ = self._forward(theta, x)
-        nll, _ = self._per_sample_nll(out, y, data)
-        return float(nll.mean())
+        self._check(v.dim, mc_budget)
+        stack = _TaskStack([data], split)
+        theta, _, _ = self._sample(v.mean[None], v.log_var[None], mc_budget,
+                                   [seed])
+        out, _, _ = self._forward(theta, stack.x)
+        nll, _ = self._per_sample_nll(out, stack)
+        return float(nll[0].mean())
 
     def nll_grad(self, v, data, split, mc_budget=None, seed=0) -> TangentVector:
-        self._check(v, mc_budget)
+        self._check(v.dim, mc_budget)
         self.grad_counter.increment()
-        x, y = data.split(split)
-        theta, eps = self._sample(v, mc_budget, seed)
-        out, acts, layers = self._forward(theta, x)
-        _, dout = self._per_sample_nll(out, y, data)
-        g_theta = self._backward(acts, layers, dout)  # (S, p)
-        # pathwise rule: d theta / d d = eps / (2 sqrt d)
-        sqrt_d = np.sqrt(v.var)
-        g_mean = g_theta.mean(axis=0)
-        g_theta *= eps
-        g_theta /= (2.0 * np.maximum(sqrt_d, 1e-300))[None, :]
-        g_var = g_theta.mean(axis=0)
-        return TangentVector(g_mean, g_var)
+        g_mean, g_var = self._grads(v.mean[None], v.log_var[None],
+                                    _TaskStack([data], split), mc_budget,
+                                    [seed])
+        return TangentVector(g_mean[0], g_var[0])
+
+    def batch_nll_grad(self, tasks, split, mc_budget=None):
+        """:meth:`nll_grad` stacked: one pass per group of tasks of one kind,
+        design shape and memory layout, whose inputs, targets and index
+        arrays are stacked once, here."""
+        groups = {}
+        for i, data in enumerate(tasks):
+            x = data.split(split)[0]
+            groups.setdefault((data.task_kind, x.shape, x.strides),
+                              []).append(i)
+        # one group: a slice views the stacked rows, an index list copies
+        stacks = [(idx if len(groups) > 1 else slice(None),
+                   _TaskStack([tasks[i] for i in idx], split))
+                  for idx in groups.values()]
+        n_tasks = len(tasks)
+
+        def grad(mean, log_var, seeds):
+            self._check(mean.shape[1], mc_budget)
+            self.grad_counter.increment(n_tasks)
+            if len(stacks) == 1:
+                return self._grads(mean, log_var, stacks[0][1], mc_budget,
+                                   seeds)
+            g_mean, g_var = np.empty_like(mean), np.empty_like(log_var)
+            for rows, stack in stacks:
+                g_mean[rows], g_var[rows] = self._grads(
+                    mean[rows], log_var[rows], stack, mc_budget,
+                    [seeds[i] for i in rows])
+            return g_mean, g_var
+        return grad
 
     def nll_hvp(self, v, data, split, vec, mc_budget=None, seed=0) -> TangentVector:
-        self._check(v, mc_budget)
+        self._check(v.dim, mc_budget)
         self.hvp_counter.increment()
-        vnorm = max(np.abs(v.mean).max(), np.abs(v.var).max())
+        d = v.var
+        vnorm = max(np.abs(v.mean).max(), np.abs(d).max())
         vecnorm = max(np.abs(vec.wrt_mean).max(), np.abs(vec.wrt_var).max())
         if vecnorm == 0.0:
             return TangentVector.zeros(self.dim)
         h = FD_EPSILON * (1.0 + vnorm) / vecnorm
         # keep perturbed variances positive
-        d = v.var
-        with np.errstate(divide="ignore"):
-            if np.any(vec.wrt_var != 0):
-                limit = 0.5 * np.min(np.where(vec.wrt_var != 0,
-                                              d / np.maximum(np.abs(vec.wrt_var), 1e-300),
-                                              np.inf))
-                h = min(h, limit)
-        v_plus = VariationalParams.from_var(v.mean + h * vec.wrt_mean,
-                                            d + h * vec.wrt_var)
-        v_minus = VariationalParams.from_var(v.mean - h * vec.wrt_mean,
-                                             d - h * vec.wrt_var)
-        g_plus = self.nll_grad(v_plus, data, split, mc_budget, seed)
-        g_minus = self.nll_grad(v_minus, data, split, mc_budget, seed)
-        return TangentVector((g_plus.wrt_mean - g_minus.wrt_mean) / (2 * h),
-                             (g_plus.wrt_var - g_minus.wrt_var) / (2 * h))
+        moved = vec.wrt_var != 0
+        if moved.any():
+            h = min(h, 0.5 * np.min(
+                d[moved] / np.maximum(np.abs(vec.wrt_var[moved]), 1e-300)))
+        # rows v + h vec and v - h vec, checked as VariationalParams.from_var
+        step_mean, step_var = h * vec.wrt_mean, h * vec.wrt_var
+        mean = np.array([v.mean + step_mean, v.mean - step_mean])
+        var = np.array([d + step_var, d - step_var])
+        if not (np.isfinite(mean).all() and np.isfinite(var).all()):
+            raise ValueError("non-finite entries")
+        if np.any(var <= 0):
+            raise ValueError("variances must be positive")
+        # both sides in one pass whose two rows share the seed's draws: two
+        # gradients
+        self.grad_counter.increment(2)
+        g_mean, g_var = self._grads(mean, np.log(var),
+                                    _TaskStack([data, data], split), mc_budget,
+                                    [seed])
+        return TangentVector((g_mean[0] - g_mean[1]) / (2 * h),
+                             (g_var[0] - g_var[1]) / (2 * h))

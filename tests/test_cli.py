@@ -390,6 +390,8 @@ class TestConfig:
         ("train", ["n_tasks=0"], "n_tasks"),
         *[("train", ["dataset=blob", f"{key}=0"], key)
           for key in ("mc_budget", "hidden", "shots_val", "prior_init_var")],
+        *[("train", [item], item.partition("=")[0])
+          for item in ("noise_sigma=0", "n_val=0", "n_tr=8")],
     ])
     def test_out_of_range_value_exits_2_naming_key(self, tmp_path, capsys,
                                                    command, items, named):

@@ -8,7 +8,8 @@ import pytest
 
 from bayesmeta import (BlobTaskSpec, CgConfig, InnerConfig,
                        InnerDivergenceError, LinearGaussianModel, MetaConfig,
-                       PriorParams, TaskData, TaskGenSpec,
+                       MetaLossSpec, MLPModel, PriorParams, TaskData,
+                       TaskGenSpec,
                        checkpoint_from_json, checkpoint_to_json,
                        generate_blob_tasks, generate_linear_tasks, imaml_prior,
                        meta_step, run_inner_gd, sample_batch,
@@ -95,6 +96,19 @@ def linear_setup(p=8, n_tasks=6, seed=0, sigma=0.05, **meta_kw):
     kw = dict(method="implicit", meta_lr=0.05, batch_size=3, iterations=5,
               inner=InnerConfig(steps=20, lr=0.01),
               cg=CgConfig(max_iters=5), seed=seed)
+    kw.update(meta_kw)
+    return oracle, tasks, prior, MetaConfig(**kw)
+
+
+def blob_setup(**meta_kw):
+    """The blob workload's [2, 16, 5] network and its prior, on six tasks."""
+    tasks = generate_blob_tasks(BlobTaskSpec(n_tasks=6, seed=1))
+    oracle = MLPModel([2, 16, 5])
+    prior = PriorParams(np.zeros(oracle.dim),
+                        np.log(0.1) * np.ones(oracle.dim))
+    kw = dict(meta_lr=0.005, batch_size=4, iterations=1,
+              cg=CgConfig(max_iters=5, abort_on_negative_curvature=False),
+              loss=MetaLossSpec(mc_budget=64), seed=1)
     kw.update(meta_kw)
     return oracle, tasks, prior, MetaConfig(**kw)
 
@@ -194,10 +208,16 @@ class TestLockstepBatch:
     """meta_step runs the batch's inner loops in lockstep and gets the bits,
     counts and errors of one task after another."""
 
-    @pytest.mark.parametrize("method", ["implicit", "unrolled", "imaml_mode"])
+    @pytest.mark.parametrize("method", ["implicit", "unrolled", "imaml_mode",
+                                        "blob-implicit", "blob-unrolled"])
     def test_equals_per_task_average(self, method):
-        oracle, tasks, prior, cfg = linear_setup(
-            method=method, inner=InnerConfig(steps=7, lr=0.01))
+        if method.startswith("blob-"):
+            oracle, tasks, prior, cfg = blob_setup(
+                method=method.removeprefix("blob-"),
+                inner=InnerConfig(steps=7, lr=0.02, mc_budget=16))
+        else:
+            oracle, tasks, prior, cfg = linear_setup(
+                method=method, inner=InnerConfig(steps=7, lr=0.01))
         r, batch = 3, [0, 2, 0, 5]
         grads, losses = [], []
         counts = oracle.grad_counter.count, oracle.hvp_calls

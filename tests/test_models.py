@@ -1,6 +1,7 @@
 """Oracle-interface tests: closed-form linear values against Monte Carlo,
 gradients and HVPs against finite differences (bayesmeta.verify's checks),
-the MLP against the linear closed form, and the MLP's per-thread work
+the MLP against the linear closed form, the MLP's stacked pass against
+one-task passes and a plain reference pass, and the MLP's per-thread work
 buffers."""
 
 import inspect
@@ -9,6 +10,7 @@ import subprocess
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +19,8 @@ import pytest
 from bayesmeta import (LinearGaussianModel, MLPModel, TangentVector, TaskData,
                        VariationalParams, mlp_param_count, sample_params)
 from bayesmeta.calibration import posterior_predictive_probs
+from bayesmeta.models import FD_EPSILON
+from bayesmeta.vi_core import standard_normal
 from bayesmeta.verify import nll_grad_vs_fd, nll_hvp_vs_dense_fd, rel_err
 from helpers import small_task
 
@@ -324,6 +328,130 @@ class TestMlpHvp:
         assert err <= 1e-2
 
 
+def stacked_tasks(widths, kind, seed=0):
+    """Three tasks for one network: two with a 25-point train split and one
+    with 10 points, a second design shape."""
+    tasks = [make_mlp_instance(widths, n=n, seed=seed + i, kind=kind,
+                               n_classes=widths[-1])[1]
+             for i, n in enumerate((25, 25, 10))]
+    return MLPModel(widths), tasks
+
+
+def reference_nll_grad(model, v, data, split, s, seed):
+    """nll_grad as a plain one-task (S, p) pass on fresh arrays, in the
+    order of the pass before it was stacked."""
+    x, y = data.split(split)
+    draws = standard_normal(((s + 1) // 2, model.dim), seed)
+    eps = np.concatenate([draws, -draws])[:s]
+    sqrt_d = np.sqrt(v.var)
+    theta = sqrt_d * eps + v.mean
+    acts, weights, ofs = [x], [], 0
+    for n_in, n_out in zip(model.widths[:-1], model.widths[1:]):
+        w = theta[:, ofs:ofs + n_out * n_in].reshape(s, n_out, n_in)
+        b = theta[:, ofs + n_out * n_in:ofs + n_out * (n_in + 1)]
+        ofs += n_out * (n_in + 1)
+        weights.append(w)
+        z = w @ acts[-1] + b[:, :, None]
+        acts.append(np.tanh(z) if len(weights) < len(model.widths) - 1 else z)
+    out = acts[-1]
+    if data.task_kind == "regression":
+        dout = np.zeros_like(out)
+        dout[:, 0, :] = (out[:, 0, :] - y) / data.noise_sigma ** 2
+    else:
+        z = out - out.max(axis=1, keepdims=True)
+        dout = np.exp(z - np.log(np.exp(z).sum(axis=1, keepdims=True)))
+        dout[:, y.astype(int), np.arange(len(y))] -= 1.0
+    parts, delta = [], dout
+    for li in range(len(weights) - 1, -1, -1):
+        parts[:0] = [(delta @ acts[li].swapaxes(-1, -2)).reshape(s, -1),
+                     delta.sum(axis=2)]
+        if li > 0:
+            delta = (weights[li].swapaxes(-1, -2) @ delta) * (
+                1.0 - acts[li] ** 2)
+    g_theta = np.concatenate(parts, axis=1)
+    g_var = g_theta * eps / (2.0 * np.maximum(sqrt_d, 1e-300))
+    return g_theta.mean(axis=0), g_var.mean(axis=0)
+
+
+class TestStackedPass:
+    """batch_nll_grad and the HVP run one stacked pass; each row must be the
+    bits of a one-task nll_grad."""
+
+    @pytest.mark.parametrize("s", [1, 7, 16, 64])
+    @pytest.mark.parametrize("kind, widths", [
+        ("classification", [2, 16, 5]), ("classification", [2, 8, 8, 5]),
+        ("regression", [2, 16, 1]), ("regression", [2, 8, 8, 1])])
+    def test_batch_equals_one_task_passes(self, kind, widths, s):
+        model, tasks = stacked_tasks(widths, kind, seed=s)
+        rng = np.random.default_rng(s)
+        # a repeated task, and two design shapes in one batch
+        for batch in ([0], [0, 1], [0, 2, 0, 1]):
+            b = len(batch)
+            mean = 0.5 * rng.normal(size=(b, model.dim))
+            log_var = np.log(rng.uniform(0.05, 0.3, (b, model.dim)))
+            seeds = [int(x) for x in rng.integers(0, 2 ** 40, b)]
+            grad = model.batch_nll_grad([tasks[i] for i in batch], "train", s)
+            before = model.grad_counter.count
+            g_mean, g_var = grad(mean, log_var, seeds)
+            assert model.grad_counter.count - before == b
+            for j, i in enumerate(batch):
+                g = model.nll_grad(VariationalParams(mean[j], log_var[j]),
+                                   tasks[i], "train", s, seeds[j])
+                assert np.array_equal(g_mean[j], g.wrt_mean)
+                assert np.array_equal(g_var[j], g.wrt_var)
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("kind, widths", [
+        ("classification", [2, 8, 8, 5]), ("regression", [2, 16, 1])])
+    def test_one_task_pass_equals_plain_reference(self, kind, widths, order):
+        # blob tasks hold Fortran-ordered inputs; the backward pass's BLAS
+        # kernel, and so its bits, follows the layout
+        model, data, v = make_mlp_instance(widths, n=25, n_val=50, seed=40,
+                                           kind=kind, n_classes=widths[-1])
+        data.x_tr = np.asarray(data.x_tr, order=order)
+        for s in (7, 16):
+            g = model.nll_grad(v, data, "train", s, s)
+            want = reference_nll_grad(model, v, data, "train", s, s)
+            assert np.array_equal(g.wrt_mean, want[0])
+            assert np.array_equal(g.wrt_var, want[1])
+
+    @pytest.mark.parametrize("limited", [False, True])
+    def test_hvp_is_the_fd_of_two_one_task_gradients(self, limited):
+        model, data, v = make_mlp_instance([2, 16, 5], n=25, seed=30,
+                                           kind="classification",
+                                           n_classes=5)
+        rng = np.random.default_rng(31)
+        vec = TangentVector(rng.normal(size=model.dim),
+                            rng.normal(size=model.dim))
+        if limited:
+            # a tiny variance where the direction is largest: the
+            # positivity limit sets h
+            var = v.var.copy()
+            var[np.argmax(np.abs(vec.wrt_var))] = 1e-6
+            v = VariationalParams.from_var(v.mean, var)
+        vnorm = max(np.abs(v.mean).max(), np.abs(v.var).max())
+        vecnorm = max(np.abs(vec.wrt_mean).max(), np.abs(vec.wrt_var).max())
+        h = min(FD_EPSILON * (1.0 + vnorm) / vecnorm,
+                0.5 * np.min(v.var / np.abs(vec.wrt_var)))
+        assert (h < FD_EPSILON * (1.0 + vnorm) / vecnorm) == limited
+        g_plus = model.nll_grad(
+            VariationalParams.from_var(v.mean + h * vec.wrt_mean,
+                                       v.var + h * vec.wrt_var),
+            data, "train", 16, 5)
+        g_minus = model.nll_grad(
+            VariationalParams.from_var(v.mean - h * vec.wrt_mean,
+                                       v.var - h * vec.wrt_var),
+            data, "train", 16, 5)
+        grads, hvps = model.grad_counter.count, model.hvp_calls
+        hv = model.nll_hvp(v, data, "train", vec, 16, 5)
+        assert (model.grad_counter.count - grads, model.hvp_calls - hvps) == (
+            2, 1)
+        assert np.array_equal(hv.wrt_mean,
+                              (g_plus.wrt_mean - g_minus.wrt_mean) / (2 * h))
+        assert np.array_equal(hv.wrt_var,
+                              (g_plus.wrt_var - g_minus.wrt_var) / (2 * h))
+
+
 class TestCounters:
     def test_hvp_counter_exact(self):
         p = 3
@@ -374,6 +502,25 @@ def mlp_pass_bytes(case, seed=3):
             + np.float64(value).tobytes() + probs.tobytes())
 
 
+def stacked_pass_bytes(hvp, seed=3):
+    """The bytes of a B=4 batch_nll_grad call (a repeated task and two
+    design shapes) or, with ``hvp``, of an HVP, whose two sides are one B=2
+    pass."""
+    model, tasks = stacked_tasks([2, 16, 5], "classification", seed=seed)
+    rng = np.random.default_rng(seed)
+    mean = 0.5 * rng.normal(size=(4, model.dim))
+    log_var = np.log(rng.uniform(0.05, 0.3, (4, model.dim)))
+    if hvp:
+        vec = TangentVector(rng.normal(size=model.dim),
+                            0.01 * rng.normal(size=model.dim))
+        hv = model.nll_hvp(VariationalParams(mean[0], log_var[0]), tasks[1],
+                           "val", vec, 64, seed)
+        return hv.wrt_mean.tobytes() + hv.wrt_var.tobytes()
+    grad = model.batch_nll_grad([tasks[i] for i in (0, 2, 0, 1)], "train", 16)
+    g_mean, g_var = grad(mean, log_var, [seed, seed + 1, seed + 2, seed + 3])
+    return g_mean.tobytes() + g_var.tobytes()
+
+
 def in_fresh_thread(fn, *args):
     """Run fn on a new thread, whose work buffers start empty."""
     with ThreadPoolExecutor(max_workers=1) as pool:
@@ -407,19 +554,21 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 
 class TestWorkBuffers:
     def test_concurrent_passes_equal_serial(self):
-        cases = BUFFER_CASES[:4]
-        serial = [mlp_pass_bytes(case) for case in cases]
-        barrier = threading.Barrier(len(cases))
+        # one-task passes beside a stacked B=4 call and an HVP pair
+        jobs = ([partial(mlp_pass_bytes, case) for case in BUFFER_CASES[:4]]
+                + [partial(stacked_pass_bytes, hvp) for hvp in (False, True)])
+        serial = [job() for job in jobs]
+        barrier = threading.Barrier(len(jobs))
 
-        def run(case):
+        def run(job):
             barrier.wait(timeout=10)
-            return [mlp_pass_bytes(case) for _ in range(5)]
+            return [job() for _ in range(5)]
 
         old_interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            with ThreadPoolExecutor(max_workers=len(cases)) as pool:
-                futures = [pool.submit(run, case) for case in cases]
+            with ThreadPoolExecutor(max_workers=len(jobs)) as pool:
+                futures = [pool.submit(run, job) for job in jobs]
                 results = [f.result(timeout=120) for f in futures]
         finally:
             sys.setswitchinterval(old_interval)
