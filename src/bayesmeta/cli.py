@@ -186,9 +186,9 @@ def _blob_spec(cfg: Dict[str, Any], task_seed: int) -> BlobTaskSpec:
     if cfg["hidden"] < 1:
         raise ConfigError(f"config key 'hidden' must be >= 1, "
                           f"got {cfg['hidden']}")
-    if not 0 < cfg["prior_init_var"] < np.inf:
-        raise ConfigError(f"config key 'prior_init_var' must be positive "
-                          f"and finite, got {cfg['prior_init_var']}")
+    if not cfg["prior_init_var"] > 0:
+        raise ConfigError(f"config key 'prior_init_var' must be positive, "
+                          f"got {cfg['prior_init_var']}")
     return _build(BlobTaskSpec, {"seed": task_seed},
                   **{key: (key, cfg[key]) for key in BLOB_SPEC_KEYS})
 
@@ -390,6 +390,9 @@ def cmd_train(cfg: Dict[str, Any], seeds: List[int], workers: int):
                       iterations=("iterations", cfg["iterations"]))
     spec = (_linear_spec(cfg, seed, cfg["n_tasks"]) if linear
             else _blob_spec(cfg, seed))
+    if not cfg["imaml_lambda"] > 0:
+        raise ConfigError(f"config key 'imaml_lambda' must be positive, "
+                          f"got {cfg['imaml_lambda']}")
 
     def run(out_dir: Path) -> List[Path]:
         tasks, oracle, prior = (_linear_setup(spec) if linear

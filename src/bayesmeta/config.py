@@ -1,13 +1,14 @@
 """Plain-text key=value configuration and run manifests.
 
 Config files hold one ``key = value`` pair per line ('#' comments allowed);
-each value is parsed as the type of its key's default: int, float (an int
-is accepted), bool (true or false), str (raw text, commas included), or a
-comma-separated list of ints. Command-line --set overrides use the same
-syntax. Every command resolves its full config against a schema of defaults,
-rejects unknown keys and mistyped values with a ConfigError naming the key,
-and records the resolved config in a JSON manifest alongside digests of every
-output file, so a run can be reproduced bitwise from its manifest.
+each value is parsed as the type of its key's default: int, finite float
+(an int is accepted), bool (true or false), str (raw text, commas included),
+or a comma-separated list of one or more ints. Command-line --set overrides
+use the same syntax. Every command resolves its full config against a schema
+of defaults, rejects unknown keys and mistyped values with a ConfigError
+naming the key, and records the resolved config in a JSON manifest alongside
+digests of every output file, so a run can be reproduced bitwise from its
+manifest.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 import datetime
 import hashlib
 import json
+import math
 from pathlib import Path
 from typing import Any, Dict, List, Optional
 
@@ -26,9 +28,10 @@ class ConfigError(ValueError):
 def parse_typed(key: str, text: str, default: Any) -> Any:
     """Parse ``text`` as a value of the type of ``key``'s default.
 
-    A str key keeps its raw text, a bool key takes only true or false, and an
-    int stays an int for a float key. Only a list-typed key splits on commas;
-    one item without a comma stays a scalar.
+    A str key keeps its raw text, a bool key takes only true or false, and a
+    float key only a finite number (an int stays an int). Only a list-typed
+    key splits on commas, into one or more items; one item without a comma
+    stays a scalar.
     """
     s = text.strip()
     if isinstance(default, str):
@@ -36,18 +39,24 @@ def parse_typed(key: str, text: str, default: Any) -> Any:
     if isinstance(default, list):
         if "," not in s:
             return parse_typed(key, s, default[0])
-        return [parse_typed(key, part, default[0])
-                for part in s.split(",") if part.strip()]
-    if isinstance(default, bool):
+        items = [parse_typed(key, part, default[0])
+                 for part in s.split(",") if part.strip()]
+        if items:
+            return items
+    elif isinstance(default, bool):
         if s.lower() in ("true", "false"):
             return s.lower() == "true"
     else:
         for kind in (int, float) if isinstance(default, float) else (int,):
             try:
-                return kind(s)
+                value = kind(s)
             except ValueError:
-                pass
+                continue
+            if kind is int or math.isfinite(value):
+                return value
     expected = ("true or false" if isinstance(default, bool)
+                else "a finite float" if isinstance(default, float)
+                else "one or more ints" if isinstance(default, list)
                 else type(default).__name__)
     raise ConfigError(f"config key {key!r} expects {expected}, got {s!r}")
 

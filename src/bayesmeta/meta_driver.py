@@ -40,6 +40,8 @@ class MetaConfig:
             raise ValueError(f"method must be one of {METHODS}")
         if self.batch_size < 1 or self.iterations < 1:
             raise ValueError("batch_size and iterations must be >= 1")
+        if not self.meta_lr > 0:
+            raise ValueError("meta_lr must be positive")
 
 
 @dataclass

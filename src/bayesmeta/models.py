@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .vi_core import TangentVector, VariationalParams, standard_normal
+from .vi_core import TangentVector, standard_normal
 
 FD_EPSILON = 1e-4  # relative step for the FD-of-gradient HVP
 
@@ -86,6 +86,16 @@ class GradientOracle:
     All three are deterministic for fixed (v, split, mc_budget, seed).
     Implementations must increment ``hvp_counter`` exactly once per
     ``nll_hvp`` call.
+
+    The gradient is written once, here, on four hooks of the model:
+    ``_check(dim, mc_budget)`` refuses a variational dimension or MC budget;
+    ``_stack_key(data, split)`` groups the tasks that can share one stack;
+    ``_stack(tasks, split)`` computes what depends on the tasks alone and
+    refuses a task the model does not take; and ``_stacked_grad(stack,
+    mean, log_var, mc_budget, seeds)`` maps (B, p) means and log-variances
+    and one seed per row (or one seed whose draws all rows share) to the
+    (B, p) mean and variance blocks, each row with the bits it gets alone.
+    Callers must not write to the blocks: they may be arrays of the stack.
     """
 
     dim: int
@@ -102,7 +112,13 @@ class GradientOracle:
         raise NotImplementedError
 
     def nll_grad(self, v, data, split, mc_budget=None, seed=0) -> TangentVector:
-        raise NotImplementedError
+        """``_stacked_grad`` on a one-task stack."""
+        self._check(v.dim, mc_budget)
+        stack = self._stack([data], split)
+        self.grad_counter.increment()
+        g_mean, g_var = self._stacked_grad(stack, v.mean[None], v.log_var[None],
+                                           mc_budget, [seed])
+        return TangentVector(g_mean[0], g_var[0])
 
     def nll_hvp(self, v, data, split, vec, mc_budget=None, seed=0) -> TangentVector:
         raise NotImplementedError
@@ -113,11 +129,31 @@ class GradientOracle:
         Returns ``grad(mean, log_var, seeds)``: it maps (B, p) means and
         log-variances and one seed per task to the (B, p) mean and variance
         blocks of each task's :meth:`nll_grad`, bit for bit, and counts B
-        gradients. An implementation computes what depends on the tasks
-        alone once, here, and may return the same array on every call, so
-        callers must not write to the blocks.
+        gradients. Each group of tasks with one ``_stack_key`` is stacked
+        once, here, and a call is one ``_stacked_grad`` per group.
         """
-        raise NotImplementedError
+        groups = {}
+        for i, data in enumerate(tasks):
+            groups.setdefault(self._stack_key(data, split), []).append(i)
+        # one group: a slice views the stacked rows, an index list copies
+        stacks = [(idx if len(groups) > 1 else slice(None),
+                   self._stack([tasks[i] for i in idx], split))
+                  for idx in groups.values()]
+        n_tasks = len(tasks)
+
+        def grad(mean, log_var, seeds):
+            self._check(mean.shape[1], mc_budget)
+            self.grad_counter.increment(n_tasks)
+            if len(stacks) == 1:
+                return self._stacked_grad(stacks[0][1], mean, log_var,
+                                          mc_budget, seeds)
+            g_mean, g_var = np.empty_like(mean), np.empty_like(log_var)
+            for rows, stack in stacks:
+                g_mean[rows], g_var[rows] = self._stacked_grad(
+                    stack, mean[rows], log_var[rows], mc_budget,
+                    [seeds[i] for i in rows])
+            return g_mean, g_var
+        return grad
 
 
 class LinearGaussianModel(GradientOracle):
@@ -131,76 +167,50 @@ class LinearGaussianModel(GradientOracle):
         super().__init__()
         self.dim = dim
 
-    def _check(self, v: VariationalParams, data: TaskData):
+    def _split(self, data: TaskData, split: str):
         if data.task_kind != "regression":
             raise ValueError("linear model handles regression tasks only")
-        if v.dim != self.dim:
+        return data.split(split)
+
+    def _check(self, dim: int, mc_budget):
+        if dim != self.dim:
             raise ValueError("variational dimension mismatch")
 
     def expected_nll(self, v, data, split, mc_budget=None, seed=0) -> float:
-        self._check(v, data)
-        x, y = data.split(split)
+        x, y = self._split(data, split)
+        self._check(v.dim, mc_budget)
         resid = y - x.T @ v.mean
         quad = np.sum((x * x).sum(axis=1) * v.var)
         return float((resid @ resid + quad) / (2.0 * data.noise_sigma ** 2))
 
-    def nll_grad(self, v, data, split, mc_budget=None, seed=0) -> TangentVector:
-        self._check(v, data)
-        self.grad_counter.increment()
-        x, y = data.split(split)
-        s2 = data.noise_sigma ** 2
-        g_mean = (x @ (x.T @ v.mean) - x @ y) / s2
-        g_var = (x * x).sum(axis=1) / (2.0 * s2)  # constant in v
-        return TangentVector(g_mean, g_var)
+    def _stack_key(self, data, split):
+        # padding unequal designs to one shape would change the BLAS sums
+        return data.split(split)[0].shape
 
-    def batch_nll_grad(self, tasks, split, mc_budget=None):
-        """:meth:`nll_grad`'s closed form, stacked: ``x @ y`` and the variance
-        block, which is constant in v, are computed once per task here. Each
-        call is then one stacked ``X (X^T m)`` per group of tasks with one
-        design shape; padding unequal designs to one shape would change the
-        BLAS sums."""
-        groups = {}
-        for i, data in enumerate(tasks):
-            if data.task_kind != "regression":
-                raise ValueError("linear model handles regression tasks only")
-            groups.setdefault(data.split(split)[0].shape, []).append(i)
-        g_var = np.empty((len(tasks), self.dim))
-        stacks = []
-        for idx in groups.values():
-            xs, xys, s2s = [], [], []
-            for i in idx:
-                x, y = tasks[i].split(split)
-                s2 = tasks[i].noise_sigma ** 2
-                g_var[i] = (x * x).sum(axis=1) / (2.0 * s2)
-                xs.append(x)
-                xys.append(x @ y)
-                s2s.append(s2)
-            x = np.stack(xs)
-            # one group: a slice views the stacked means, an index list copies
-            rows = idx if len(groups) > 1 else slice(None)
-            stacks.append((rows, x, x.swapaxes(1, 2), np.stack(xys),
-                           np.array(s2s)[:, None]))
-        n_tasks = len(tasks)
+    def _stack(self, tasks, split):
+        """The (B, p, N) designs and their transposes, ``X y``, the noise
+        variances and the variance block, which is constant in v. A one-task
+        stack, which ``nll_grad`` builds on every call, takes views."""
+        consts = []
+        for data in tasks:
+            x, y = self._split(data, split)
+            s2 = data.noise_sigma ** 2
+            consts.append((x, x @ y, s2, (x * x).sum(axis=1) / (2.0 * s2)))
+        if len(consts) == 1:
+            x, xy, s2, g_var = consts[0]
+            return x[None], x.T[None], xy[None], s2, g_var[None]
+        x, xy, s2, g_var = map(np.stack, zip(*consts))
+        return x, x.swapaxes(1, 2), xy, s2[:, None], g_var
 
-        def grad(mean, log_var, seeds):
-            if mean.shape[1] != self.dim:
-                raise ValueError("variational dimension mismatch")
-            self.grad_counter.increment(n_tasks)
-            parts = [(rows, (np.matmul(x, np.matmul(xt, mean[rows, :, None]))
-                             [:, :, 0] - xy) / s2)
-                     for rows, x, xt, xy, s2 in stacks]
-            if len(parts) == 1:
-                return parts[0][1], g_var
-            g_mean = np.empty_like(mean)
-            for rows, part in parts:
-                g_mean[rows] = part
-            return g_mean, g_var
-        return grad
+    def _stacked_grad(self, stack, mean, log_var, mc_budget, seeds):
+        x, xt, xy, s2, g_var = stack
+        return (np.matmul(x, np.matmul(xt, mean[:, :, None]))[:, :, 0]
+                - xy) / s2, g_var
 
     def nll_hvp(self, v, data, split, vec, mc_budget=None, seed=0) -> TangentVector:
-        self._check(v, data)
+        x, _ = self._split(data, split)
+        self._check(v.dim, mc_budget)
         self.hvp_counter.increment()
-        x, _ = data.split(split)
         h_mean = x @ (x.T @ vec.wrt_mean) / data.noise_sigma ** 2
         return TangentVector._unchecked(h_mean, np.zeros(self.dim))
 
@@ -393,10 +403,21 @@ class MLPModel(GradientOracle):
         theta += mean[:, None, :]
         return theta, eps, sqrt_d
 
-    def _grads(self, mean: np.ndarray, log_var: np.ndarray, stack: _TaskStack,
-               mc_budget: int, seeds):
-        """The (B, p) mean and variance blocks of each row's nll gradient:
-        backprop through the stacked pass, then the pathwise rule."""
+    def _check(self, dim: int, mc_budget):
+        if dim != self.dim:
+            raise ValueError(
+                f"parameter count mismatch: network has {self.dim}, got {dim}")
+        if mc_budget is None or mc_budget < 1:
+            raise ValueError("mc_budget must be >= 1")
+
+    def _stack_key(self, data, split):
+        x = data.split(split)[0]
+        return data.task_kind, x.shape, x.strides
+
+    _stack = _TaskStack  # a class, so self._stack(tasks, split) binds no self
+
+    def _stacked_grad(self, stack, mean, log_var, mc_budget, seeds):
+        """Backprop through the stacked pass, then the pathwise rule."""
         theta, eps, sqrt_d = self._sample(mean, log_var, mc_budget, seeds)
         out, acts, layers = self._forward(theta, stack.x)
         _, dout = self._per_sample_nll(out, stack)
@@ -407,58 +428,14 @@ class MLPModel(GradientOracle):
         g_theta /= (2.0 * np.maximum(sqrt_d, 1e-300))[:, None, :]
         return g_mean, g_theta.mean(axis=1)
 
-    def _check(self, dim: int, mc_budget):
-        if dim != self.dim:
-            raise ValueError(
-                f"parameter count mismatch: network has {self.dim}, got {dim}")
-        if mc_budget is None or mc_budget < 1:
-            raise ValueError("mc_budget must be >= 1")
-
     def expected_nll(self, v, data, split, mc_budget=None, seed=0) -> float:
         self._check(v.dim, mc_budget)
-        stack = _TaskStack([data], split)
+        stack = self._stack([data], split)
         theta, _, _ = self._sample(v.mean[None], v.log_var[None], mc_budget,
                                    [seed])
         out, _, _ = self._forward(theta, stack.x)
         nll, _ = self._per_sample_nll(out, stack)
         return float(nll[0].mean())
-
-    def nll_grad(self, v, data, split, mc_budget=None, seed=0) -> TangentVector:
-        self._check(v.dim, mc_budget)
-        self.grad_counter.increment()
-        g_mean, g_var = self._grads(v.mean[None], v.log_var[None],
-                                    _TaskStack([data], split), mc_budget,
-                                    [seed])
-        return TangentVector(g_mean[0], g_var[0])
-
-    def batch_nll_grad(self, tasks, split, mc_budget=None):
-        """:meth:`nll_grad` stacked: one pass per group of tasks of one kind,
-        design shape and memory layout, whose inputs, targets and index
-        arrays are stacked once, here."""
-        groups = {}
-        for i, data in enumerate(tasks):
-            x = data.split(split)[0]
-            groups.setdefault((data.task_kind, x.shape, x.strides),
-                              []).append(i)
-        # one group: a slice views the stacked rows, an index list copies
-        stacks = [(idx if len(groups) > 1 else slice(None),
-                   _TaskStack([tasks[i] for i in idx], split))
-                  for idx in groups.values()]
-        n_tasks = len(tasks)
-
-        def grad(mean, log_var, seeds):
-            self._check(mean.shape[1], mc_budget)
-            self.grad_counter.increment(n_tasks)
-            if len(stacks) == 1:
-                return self._grads(mean, log_var, stacks[0][1], mc_budget,
-                                   seeds)
-            g_mean, g_var = np.empty_like(mean), np.empty_like(log_var)
-            for rows, stack in stacks:
-                g_mean[rows], g_var[rows] = self._grads(
-                    mean[rows], log_var[rows], stack, mc_budget,
-                    [seeds[i] for i in rows])
-            return g_mean, g_var
-        return grad
 
     def nll_hvp(self, v, data, split, vec, mc_budget=None, seed=0) -> TangentVector:
         self._check(v.dim, mc_budget)
@@ -482,11 +459,9 @@ class MLPModel(GradientOracle):
             raise ValueError("non-finite entries")
         if np.any(var <= 0):
             raise ValueError("variances must be positive")
-        # both sides in one pass whose two rows share the seed's draws: two
-        # gradients
+        # both sides: one pass whose two rows share the seed's draws
         self.grad_counter.increment(2)
-        g_mean, g_var = self._grads(mean, np.log(var),
-                                    _TaskStack([data, data], split), mc_budget,
-                                    [seed])
+        g_mean, g_var = self._stacked_grad(self._stack([data, data], split),
+                                           mean, np.log(var), mc_budget, [seed])
         return TangentVector((g_mean[0] - g_mean[1]) / (2 * h),
                              (g_var[0] - g_var[1]) / (2 * h))

@@ -363,6 +363,15 @@ class TestConfig:
         ("calibration", "checkpoint=a,b/ckpt.json",
          ["checkpoint", "a,b/ckpt.json"]),
         ("bench", "reps=3", ["reps"]),
+        # non-finite floats and empty lists
+        *[("train", item, [item.partition("=")[0]])
+          for item in ("meta_lr=nan", "cond_kappa=inf", "inner_lr=inf",
+                       "noise_sigma=inf")],
+        ("calibration", "blob_sigma=nan", ["blob_sigma"]),
+        ("bench", "cond_kappa=nan", ["cond_kappa"]),
+        ("nrmse-sweep", "cg_rel_tol=nan", ["cg_rel_tol"]),
+        ("nrmse-sweep", "k_list=,", ["k_list"]),
+        ("bench", "k_list=,", ["k_list"]),
     ])
     def test_bad_value_exits_2_naming_key(self, tmp_path, capsys, command,
                                           item, named):
@@ -392,6 +401,8 @@ class TestConfig:
           for key in ("mc_budget", "hidden", "shots_val", "prior_init_var")],
         *[("train", [item], item.partition("=")[0])
           for item in ("noise_sigma=0", "n_val=0", "n_tr=8")],
+        ("train", ["meta_lr=-1"], "meta_lr"),
+        ("train", ["method=imaml_mode", "imaml_lambda=-1"], "imaml_lambda"),
     ])
     def test_out_of_range_value_exits_2_naming_key(self, tmp_path, capsys,
                                                    command, items, named):

@@ -1,6 +1,6 @@
 """Source hygiene: every module-level import in the package and in the tests
-is used, and no function imports anything (imports live at the top of the
-module).
+is used, no function imports anything (imports live at the top of the
+module), and each oracle keeps one gradient path.
 
 The package's ``__init__.py`` is exempt: its imports are the package's public
 re-exports.
@@ -10,6 +10,8 @@ import ast
 from pathlib import Path
 
 import pytest
+
+from bayesmeta.models import LinearGaussianModel, MLPModel
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "bayesmeta"
@@ -42,3 +44,11 @@ def test_no_function_local_imports(path):
              for node in ast.walk(fn)
              if isinstance(node, (ast.Import, ast.ImportFrom))]
     assert local == [], f"{path.name}: imports inside functions at {local}"
+
+
+def test_models_keep_one_gradient_path():
+    # GradientOracle holds nll_grad and the batching; a model defines only
+    # its stack and its stacked formula (_stack, _stacked_grad)
+    for cls in (LinearGaussianModel, MLPModel):
+        forked = {"nll_grad", "batch_nll_grad"} & set(vars(cls))
+        assert not forked, f"{cls.__name__} defines {sorted(forked)}"

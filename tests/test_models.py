@@ -115,6 +115,17 @@ class TestLinearGrad:
         g2 = model.nll_grad(random_v(p, 2), data, "train")
         assert np.array_equal(g1.wrt_var, g2.wrt_var)
 
+    @pytest.mark.parametrize("method", ["expected_nll", "nll_grad", "nll_hvp",
+                                        "batch_nll_grad"])
+    def test_refuses_classification_tasks(self, method):
+        _, data, _ = make_mlp_instance([2, 4, 3], kind="classification")
+        v = random_v(2, 14)
+        args = {"nll_hvp": (v, data, "train", TangentVector.zeros(2)),
+                "batch_nll_grad": ([data], "train")}.get(method,
+                                                         (v, data, "train"))
+        with pytest.raises(ValueError, match="regression tasks only"):
+            getattr(LinearGaussianModel(2), method)(*args)
+
 
 class TestLinearHvp:
     def test_zero_vector(self):
