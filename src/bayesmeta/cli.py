@@ -279,8 +279,7 @@ def cmd_nrmse_sweep(cfg: Dict[str, Any], seeds: List[int], workers: int):
         summary = [[k, l_budget, method,
                     np.median(vals), np.percentile(vals, 25),
                     np.percentile(vals, 75), len(vals)]
-                   for (k, l_budget, method), vals in sorted(cells.items(),
-                                                             key=lambda kv: (kv[0][0], kv[0][1], kv[0][2]))]
+                   for (k, l_budget, method), vals in sorted(cells.items())]
         summary_path = out_dir / "nrmse_summary.csv"
         _write_csv(summary_path, ["K", "L", "method", "median_nrmse_log",
                                   "q25", "q75", "n_seeds"], summary)

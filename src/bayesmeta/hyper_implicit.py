@@ -137,7 +137,7 @@ def implicit_meta_gradient(oracle: GradientOracle, data: TaskData,
     (frozen-variance reduction to the proximal-regularized special case).
     """
     p = v_hat.dim
-    _, grad1, grad2 = meta_loss_grads(oracle, data, v_hat, prior, meta_loss, seed)
+    grad1, grad2 = meta_loss_grads(oracle, data, v_hat, prior, meta_loss, seed)
     g_tr = oracle.nll_grad(v_hat, data, "train", mc_budget, seed)
     h = h_operator(oracle, data, v_hat, prior, g_tr.wrt_var, mc_budget, seed)
     b = grad1.concat()

@@ -45,7 +45,7 @@ def unrolled_meta_gradient(oracle: GradientOracle, data: TaskData,
     d_prior_sq = d_prior ** 2
 
     v_final = trace.point(k_steps)
-    _, grad1, grad2 = meta_loss_grads(oracle, data, v_final, prior, spec, seed)
+    grad1, grad2 = meta_loss_grads(oracle, data, v_final, prior, spec, seed)
 
     # adjoint in (mean, log-var) coordinates at v^K
     a_m = grad1.wrt_mean.copy()

@@ -102,7 +102,7 @@ def oracle_meta_gradient(prior: PriorParams, data: TaskData,
     model = LinearGaussianModel(p)
     v_star = closed_form_linear_optimum(prior, data)
     h = oracle_dense_h(prior, data, v_star)
-    _, grad1, grad2 = meta_loss_grads(model, data, v_star, prior, spec, seed)
+    grad1, grad2 = meta_loss_grads(model, data, v_star, prior, spec, seed)
     try:
         u = np.linalg.solve(h, grad1.concat())
     except np.linalg.LinAlgError as exc:

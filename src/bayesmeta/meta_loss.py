@@ -61,6 +61,7 @@ class MetaGradient:
 def meta_loss_value(oracle: GradientOracle, data: TaskData,
                     v: VariationalParams, prior: PriorParams,
                     spec: MetaLossSpec, seed: int = 0) -> float:
+    """The meta-loss; the only code that evaluates it."""
     val = oracle.expected_nll(v, data, "val", spec.mc_budget, seed)
     if spec.kl_weight != 0.0:
         val += spec.kl_weight * kl_diag_gaussian(v, prior)
@@ -70,15 +71,12 @@ def meta_loss_value(oracle: GradientOracle, data: TaskData,
 def meta_loss_grads(oracle: GradientOracle, data: TaskData,
                     v: VariationalParams, prior: PriorParams,
                     spec: MetaLossSpec, seed: int = 0
-                    ) -> Tuple[float, TangentVector, TangentVector]:
-    """Returns (value, grad_1 wrt v, grad_2 wrt prior), raw coordinates."""
-    p = v.dim
-    value = oracle.expected_nll(v, data, "val", spec.mc_budget, seed)
+                    ) -> Tuple[TangentVector, TangentVector]:
+    """Returns (grad_1 wrt v, grad_2 wrt prior), raw coordinates."""
     grad1 = oracle.nll_grad(v, data, "val", spec.mc_budget, seed)
-    grad2 = TangentVector.zeros(p)
+    grad2 = TangentVector.zeros(v.dim)
     if spec.kl_weight != 0.0:
-        value += spec.kl_weight * kl_diag_gaussian(v, prior)
         g_q, g_prior = kl_grad(v, prior)
         grad1 = grad1 + spec.kl_weight * g_q
         grad2 = grad2 + spec.kl_weight * g_prior
-    return value, grad1, grad2
+    return grad1, grad2

@@ -75,10 +75,6 @@ class _CallCounter:
         with self._lock:
             self._count += n
 
-    def reset(self) -> None:
-        with self._lock:
-            self._count = 0
-
 
 class GradientOracle:
     """Interface: expected nll value / gradient / HVP at a variational point.

@@ -193,7 +193,7 @@ class TestImplicitMetaGradient:
         prior = random_prior(p, 13)
         model = LinearGaussianModel(p)
         v = closed_form_linear_optimum(prior, data)
-        _, _, grad2 = meta_loss_grads(model, data, v, prior, MetaLossSpec())
+        _, grad2 = meta_loss_grads(model, data, v, prior, MetaLossSpec())
         assert np.array_equal(grad2.concat(), np.zeros(2 * p))
 
     def test_cost_invariant_in_inner_steps(self):

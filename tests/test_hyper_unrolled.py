@@ -23,7 +23,7 @@ class TestMetaLossGrads:
         prior = random_prior(p, 1)
         model = LinearGaussianModel(p)
         v = VariationalParams(prior.mean + 0.1, prior.log_var - 0.1)
-        _, _, grad2 = meta_loss_grads(model, data, v, prior, MetaLossSpec())
+        _, grad2 = meta_loss_grads(model, data, v, prior, MetaLossSpec())
         assert np.array_equal(grad2.concat(), np.zeros(2 * p))
 
     def test_kl_term_vanishes_at_prior(self):
@@ -34,9 +34,10 @@ class TestMetaLossGrads:
         v = VariationalParams.from_prior(prior)
         spec_kl = MetaLossSpec(kind="val_nll_plus_kl", kl_weight=1.0)
         spec_plain = MetaLossSpec()
-        val_kl, grad1_kl, grad2_kl = meta_loss_grads(model, data, v, prior,
-                                                     spec_kl)
-        val, grad1, _ = meta_loss_grads(model, data, v, prior, spec_plain)
+        grad1_kl, grad2_kl = meta_loss_grads(model, data, v, prior, spec_kl)
+        grad1, _ = meta_loss_grads(model, data, v, prior, spec_plain)
+        val_kl = meta_loss_value(model, data, v, prior, spec_kl)
+        val = meta_loss_value(model, data, v, prior, spec_plain)
         assert val_kl == pytest.approx(val, abs=1e-12)
         assert np.allclose(grad1_kl.concat(), grad1.concat(), atol=1e-12)
         assert np.allclose(grad2_kl.concat(), 0.0, atol=1e-12)
@@ -52,7 +53,7 @@ class TestMetaLossGrads:
         v = VariationalParams.from_var(prior.mean + 0.3 * rng.normal(size=p),
                                        prior.var * rng.uniform(0.5, 1.5, p))
         spec = MetaLossSpec(kind=kind, kl_weight=w)
-        _, grad1, grad2 = meta_loss_grads(model, data, v, prior, spec)
+        grad1, grad2 = meta_loss_grads(model, data, v, prior, spec)
 
         def value(vm, vd, pm, plv):
             return meta_loss_value(model, data,
@@ -94,7 +95,7 @@ class TestUnrolledMetaGradient:
                                 InnerConfig(steps=0, record_trace=True))
         g = unrolled_meta_gradient(model, data, trace, prior, spec)
         v0 = VariationalParams.from_prior(prior)
-        _, grad1, grad2 = meta_loss_grads(model, data, v0, prior, spec)
+        grad1, grad2 = meta_loss_grads(model, data, v0, prior, spec)
         want = grad1.concat() + grad2.concat()
         assert np.linalg.norm(g.concat_raw() - want) <= 1e-12 * (
             1 + np.linalg.norm(want))
@@ -166,7 +167,7 @@ class TestUnrolledMetaGradient:
         assert np.allclose(v.mean, prior.mean, atol=1e-14)
         assert np.allclose(v.log_var, prior.log_var, atol=1e-14)
         g = unrolled_meta_gradient(model, data, trace, prior, spec)
-        _, grad1, grad2 = meta_loss_grads(
+        grad1, grad2 = meta_loss_grads(
             model, data, VariationalParams.from_prior(prior), prior, spec)
         want = grad1.concat() + grad2.concat()
         assert np.linalg.norm(g.concat_raw() - want) <= 1e-10 * (

@@ -210,7 +210,7 @@ class TestLockstepBatch:
 
     @pytest.mark.parametrize("method", ["implicit", "unrolled", "imaml_mode",
                                         "blob-implicit", "blob-unrolled"])
-    def test_equals_per_task_average(self, method):
+    def test_equals_per_task_average(self, method, monkeypatch):
         if method.startswith("blob-"):
             oracle, tasks, prior, cfg = blob_setup(
                 method=method.removeprefix("blob-"),
@@ -229,9 +229,17 @@ class TestLockstepBatch:
         serial = (oracle.grad_counter.count - counts[0],
                   oracle.hvp_calls - counts[1])
         counts = oracle.grad_counter.count, oracle.hvp_calls
+        value_calls = []
+        expected_nll = oracle.expected_nll
+
+        def counting_value(*args, **kw):
+            value_calls.append(args[2])
+            return expected_nll(*args, **kw)
+        monkeypatch.setattr(oracle, "expected_nll", counting_value)
         new_prior, report = meta_step(prior, oracle, tasks, batch, cfg, r)
         assert (oracle.grad_counter.count - counts[0],
                 oracle.hvp_calls - counts[1]) == serial
+        assert value_calls == ["val"] * len(batch)
         avg_mean, avg_log_var = np.zeros(prior.dim), np.zeros(prior.dim)
         for grad in grads:
             avg_mean += grad.wrt_mean
