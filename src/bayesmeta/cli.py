@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import sys
 import time
@@ -38,74 +39,74 @@ from .config import (ConfigError, as_int_list, resolve_config, utc_now,
 from .hyper_implicit import CgConfig, implicit_meta_gradient
 from .hyper_unrolled import unrolled_meta_gradient
 from .inner_opt import InnerConfig, run_inner_gd
-from .linear_oracle import nrmse, oracle_meta_gradient
+from .linear_oracle import DENSE_P_MAX, nrmse, oracle_meta_gradient
 from .meta_driver import (BlobTaskSpec, MetaConfig, TaskGenSpec,
                           checkpoint_from_json, checkpoint_to_json,
                           generate_blob_tasks, generate_linear_tasks,
                           imaml_prior, meta_step, sample_batch)
-from .meta_loss import MetaLossSpec
+from .meta_loss import VAL_NLL_ONLY, MetaLossSpec
 from .models import LinearGaussianModel, MLPModel
 from .vi_core import PriorParams, derive_seed, standard_normal
 from .verify import run_all_checks
 
+# {config key: field} of each config dataclass the commands build. A key's
+# default is its field's dataclass default (_defaults), unless a command's
+# dict below sets it, and _build sets each field from its key.
+LINEAR_TASK_KEYS = {k: k for k in ("dim", "noise_sigma", "cond_kappa", "n_tr",
+                                   "n_val", "design_scale")}
+BLOB_TASK_KEYS = {k: k for k in ("n_classes", "input_dim", "shots_tr",
+                                 "shots_val", "class_spread", "blob_sigma")}
+INNER_KEYS = {"inner_steps": "steps", "inner_lr": "lr"}
+CG_KEYS = {"cg_iters": "max_iters", "cg_rel_tol": "rel_tol",
+           "cg_abort_negative": "abort_on_negative_curvature"}
+META_KEYS = {k: k for k in ("method", "meta_lr", "batch_size", "iterations")}
+LOSS_KEYS = {"loss_kind": "kind", "mc_budget": "mc_budget"}
+
+
+def _defaults(cls, keys: Dict[str, str], *only: str) -> Dict[str, Any]:
+    """``{config key: default}`` of the table ``keys`` of ``cls`` (only of
+    the keys ``only``, when given): each key's field's dataclass default."""
+    default = {f.name: f.default for f in dataclasses.fields(cls)}
+    return {key: default[name] for key, name in keys.items()
+            if not only or key in only}
+
+
 # linear-regression task generation (nrmse-sweep, bench, train)
-LINEAR_TASK_DEFAULTS: Dict[str, Any] = {
-    "dim": 32,
-    "noise_sigma": 0.01,
-    "cond_kappa": 20.0,
-    "n_tr": 32,
-    "n_val": 64,
-    "design_scale": 0.018,
-}
+LINEAR_TASK_DEFAULTS = _defaults(TaskGenSpec, LINEAR_TASK_KEYS)
 
 # Gaussian-blob task generation, the network and its prior (train, calibration)
 BLOB_TASK_DEFAULTS: Dict[str, Any] = {
     "hidden": 32,
-    "n_classes": 5,
-    "input_dim": 2,
-    "shots_tr": 5,
-    "shots_val": 10,
-    "class_spread": 2.0,
-    "blob_sigma": 0.5,
+    **_defaults(BlobTaskSpec, BLOB_TASK_KEYS),
     "prior_init_var": 0.1,
 }
-# the config keys that go into a BlobTaskSpec
-BLOB_SPEC_KEYS = ("n_classes", "input_dim", "shots_tr", "shots_val",
-                  "class_spread", "blob_sigma", "n_tasks")
 
 SWEEP_DEFAULTS: Dict[str, Any] = {
     **LINEAR_TASK_DEFAULTS,
-    "inner_lr": 0.01,
-    "mc_budget": 64,
+    **_defaults(InnerConfig, INNER_KEYS, "inner_lr"),
+    **_defaults(MetaLossSpec, LOSS_KEYS),
     "k_list": [1, 2, 5, 10, 20, 50, 100, 200, 500, 1000],
     "l_list": [2],
-    "cg_rel_tol": 1e-10,
-    "loss_kind": "val_nll_only",
+    **_defaults(CgConfig, CG_KEYS, "cg_rel_tol"),
 }
 
 BENCH_DEFAULTS: Dict[str, Any] = {
     **LINEAR_TASK_DEFAULTS,
-    "inner_lr": 0.01,
-    "cg_iters": 5,
-    "cg_rel_tol": 1e-10,
+    **_defaults(InnerConfig, INNER_KEYS, "inner_lr"),
+    **_defaults(CgConfig, CG_KEYS, "cg_iters", "cg_rel_tol"),
     "reps": 10,
     "k_list": [1, 2, 4, 8, 16, 32, 64, 128, 256, 512],
 }
 
 TRAIN_DEFAULTS: Dict[str, Any] = {
     "dataset": "linear",  # linear | blob
-    "method": "implicit",
-    "iterations": 100,
-    "batch_size": 4,
-    "meta_lr": 0.01,
-    "inner_steps": 100,
-    "inner_lr": 0.01,
-    "cg_iters": 5,
-    "cg_rel_tol": 1e-10,
+    **_defaults(MetaConfig, META_KEYS),
+    **_defaults(InnerConfig, INNER_KEYS),
+    **_defaults(CgConfig, CG_KEYS),
     # truncated CG: keep going past negative curvature (needed for the
     # nonconvex network, whose Hessian is indefinite away from the optimum)
     "cg_abort_negative": False,
-    "mc_budget": 64,
+    **_defaults(MetaLossSpec, LOSS_KEYS, "mc_budget"),
     "imaml_lambda": 1.0,  # prior precision in imaml_mode
     "resume": True,
     "n_tasks": 20,
@@ -115,9 +116,8 @@ TRAIN_DEFAULTS: Dict[str, Any] = {
 
 CALIBRATION_DEFAULTS: Dict[str, Any] = {
     "n_tasks": 20,
-    "mc_budget": 64,
-    "inner_steps": 100,
-    "inner_lr": 0.01,
+    **_defaults(MetaLossSpec, LOSS_KEYS, "mc_budget"),
+    **_defaults(InnerConfig, INNER_KEYS),
     "n_bins": 10,
     "checkpoint": "",  # optional path to a train checkpoint
     **BLOB_TASK_DEFAULTS,
@@ -156,11 +156,23 @@ def _read_checkpoint(path: Path, dim: int, source: str):
     return prior, iteration, hvp_total
 
 
-def _build(cls, fixed: Dict[str, Any], **fields):
-    """``cls(**fixed, name=value, ...)`` for ``fields`` given as
-    ``name=(config key, value)``. A ValueError from the dataclass's checks
-    becomes a ConfigError naming the keys whose value it refuses on its own
-    (all of them when it refuses only their combination)."""
+def _require(cfg: Dict[str, Any], key: str, ok: bool, what: str) -> None:
+    """Refuse ``cfg[key]`` unless ``ok``, naming the key."""
+    if not ok:
+        raise ConfigError(f"config key {key!r} must be {what}, got {cfg[key]}")
+
+
+def _build(cls, cfg: Dict[str, Any], keys: Dict[str, str],
+           fixed: Dict[str, Any], **given):
+    """``cls(**fixed, name=value, ...)``: each field of the table ``keys``
+    whose config key ``cfg`` holds takes that key's value, and ``given``
+    sets fields as ``name=(config key, value)``. A ValueError from the
+    dataclass's checks becomes a ConfigError naming the keys whose value it
+    refuses on its own (all of them when it refuses only their
+    combination)."""
+    fields = {name: (key, cfg[key]) for key, name in keys.items()
+              if key in cfg}
+    fields.update(given)
     try:
         return cls(**fixed, **{name: value
                                for name, (_, value) in fields.items()})
@@ -177,20 +189,16 @@ def _build(cls, fixed: Dict[str, Any], **fields):
 
 
 def _linear_spec(cfg: Dict[str, Any], seed: int, n_tasks: int) -> TaskGenSpec:
-    return _build(TaskGenSpec, {"seed": seed}, n_tasks=("n_tasks", n_tasks),
-                  **{key: (key, cfg[key]) for key in LINEAR_TASK_DEFAULTS})
+    return _build(TaskGenSpec, cfg, LINEAR_TASK_KEYS, {"seed": seed},
+                  n_tasks=("n_tasks", n_tasks))
 
 
 def _blob_spec(cfg: Dict[str, Any], task_seed: int) -> BlobTaskSpec:
     """The blob task spec, once the network and prior keys are in range."""
-    if cfg["hidden"] < 1:
-        raise ConfigError(f"config key 'hidden' must be >= 1, "
-                          f"got {cfg['hidden']}")
-    if not cfg["prior_init_var"] > 0:
-        raise ConfigError(f"config key 'prior_init_var' must be positive, "
-                          f"got {cfg['prior_init_var']}")
-    return _build(BlobTaskSpec, {"seed": task_seed},
-                  **{key: (key, cfg[key]) for key in BLOB_SPEC_KEYS})
+    _require(cfg, "hidden", cfg["hidden"] >= 1, ">= 1")
+    _require(cfg, "prior_init_var", cfg["prior_init_var"] > 0, "positive")
+    return _build(BlobTaskSpec, cfg, BLOB_TASK_KEYS, {"seed": task_seed},
+                  n_tasks=("n_tasks", cfg["n_tasks"]))
 
 
 def _linear_setup(spec: TaskGenSpec):
@@ -212,8 +220,8 @@ def _blob_setup(cfg: Dict[str, Any], spec: BlobTaskSpec):
 
 def _inner_configs(cfg: Dict[str, Any]) -> List[InnerConfig]:
     """One recording InnerConfig per entry of ``k_list``."""
-    return [_build(InnerConfig, {"record_trace": True}, steps=("k_list", k),
-                   lr=("inner_lr", cfg["inner_lr"]))
+    return [_build(InnerConfig, cfg, INNER_KEYS, {"record_trace": True},
+                   steps=("k_list", k))
             for k in as_int_list(cfg["k_list"])]
 
 
@@ -248,16 +256,15 @@ def _sweep_seed(plan, spec: TaskGenSpec) -> List[List[Any]]:
 
 
 def cmd_nrmse_sweep(cfg: Dict[str, Any], seeds: List[int], workers: int):
-    kind = cfg["loss_kind"]
-    loss = _build(MetaLossSpec, {}, kind=("loss_kind", kind),
-                  kl_weight=("loss_kind",
-                             0.0 if kind == "val_nll_only" else 1.0),
-                  mc_budget=("mc_budget", cfg["mc_budget"]))
-    cgs = [_build(CgConfig, {}, max_iters=("l_list", l_budget),
-                  rel_tol=("cg_rel_tol", cfg["cg_rel_tol"]))
+    nll_only = cfg["loss_kind"] == VAL_NLL_ONLY
+    loss = _build(MetaLossSpec, cfg, LOSS_KEYS, {},
+                  kl_weight=("loss_kind", 0.0 if nll_only else 1.0))
+    cgs = [_build(CgConfig, cfg, CG_KEYS, {}, max_iters=("l_list", l_budget))
            for l_budget in as_int_list(cfg["l_list"])]
     plan = (loss, _inner_configs(cfg), cgs)
     specs = [_linear_spec(cfg, s, 1) for s in seeds]
+    _require(cfg, "dim", cfg["dim"] <= DENSE_P_MAX,
+             f"<= {DENSE_P_MAX} (the dense oracle's cap)")
 
     def run(out_dir: Path) -> List[Path]:
         header = ["K", "L", "method", "seed", "nrmse_log", "nrmse_raw",
@@ -292,12 +299,10 @@ def cmd_nrmse_sweep(cfg: Dict[str, Any], seeds: List[int], workers: int):
 def cmd_bench(cfg: Dict[str, Any], seeds: List[int], workers: int):
     """Backward-phase timing only; the forward inner run is shared and untimed."""
     reps = cfg["reps"]
-    if reps < 10:
-        raise ConfigError(f"config key 'reps' must be >= 10, got {reps}")
+    _require(cfg, "reps", reps >= 10, ">= 10")
     spec = _linear_spec(cfg, seeds[0], 1)
     inners = _inner_configs(cfg)
-    cg = _build(CgConfig, {}, max_iters=("cg_iters", cfg["cg_iters"]),
-                rel_tol=("cg_rel_tol", cfg["cg_rel_tol"]))
+    cg = _build(CgConfig, cfg, CG_KEYS, {})
 
     def run(out_dir: Path) -> List[Path]:
         seed = spec.seed
@@ -370,28 +375,17 @@ def cmd_train(cfg: Dict[str, Any], seeds: List[int], workers: int):
     if dataset not in ("linear", "blob"):
         raise ConfigError(f"dataset must be linear or blob, got {dataset!r}")
     linear = dataset == "linear"
-    inner = _build(InnerConfig, {},
-                   steps=("inner_steps", cfg["inner_steps"]),
-                   lr=("inner_lr", cfg["inner_lr"]),
+    inner = _build(InnerConfig, cfg, INNER_KEYS, {},
                    # the linear model's expected nll is closed-form
                    mc_budget=("mc_budget",
                               None if linear else cfg["mc_budget"]))
-    cg = _build(CgConfig, {}, max_iters=("cg_iters", cfg["cg_iters"]),
-                rel_tol=("cg_rel_tol", cfg["cg_rel_tol"]),
-                abort_on_negative_curvature=("cg_abort_negative",
-                                             cfg["cg_abort_negative"]))
-    loss = _build(MetaLossSpec, {}, mc_budget=("mc_budget", cfg["mc_budget"]))
-    meta_cfg = _build(MetaConfig,
-                      {"inner": inner, "cg": cg, "loss": loss, "seed": seed},
-                      method=("method", cfg["method"]),
-                      meta_lr=("meta_lr", cfg["meta_lr"]),
-                      batch_size=("batch_size", cfg["batch_size"]),
-                      iterations=("iterations", cfg["iterations"]))
+    cg = _build(CgConfig, cfg, CG_KEYS, {})
+    loss = _build(MetaLossSpec, cfg, LOSS_KEYS, {})
+    meta_cfg = _build(MetaConfig, cfg, META_KEYS,
+                      {"inner": inner, "cg": cg, "loss": loss, "seed": seed})
     spec = (_linear_spec(cfg, seed, cfg["n_tasks"]) if linear
             else _blob_spec(cfg, seed))
-    if not cfg["imaml_lambda"] > 0:
-        raise ConfigError(f"config key 'imaml_lambda' must be positive, "
-                          f"got {cfg['imaml_lambda']}")
+    _require(cfg, "imaml_lambda", cfg["imaml_lambda"] > 0, "positive")
 
     def run(out_dir: Path) -> List[Path]:
         tasks, oracle, prior = (_linear_setup(spec) if linear
@@ -438,13 +432,9 @@ def cmd_train(cfg: Dict[str, Any], seeds: List[int], workers: int):
 def cmd_calibration(cfg: Dict[str, Any], seeds: List[int], workers: int):
     seed = seeds[0]
     mc = cfg["mc_budget"]
-    inner = _build(InnerConfig, {},
-                   steps=("inner_steps", cfg["inner_steps"]),
-                   lr=("inner_lr", cfg["inner_lr"]),
+    inner = _build(InnerConfig, cfg, INNER_KEYS, {},
                    mc_budget=("mc_budget", mc))
-    if cfg["n_bins"] < 1:
-        raise ConfigError(f"config key 'n_bins' must be >= 1, "
-                          f"got {cfg['n_bins']}")
+    _require(cfg, "n_bins", cfg["n_bins"] >= 1, ">= 1")
     ckpt_path = Path(cfg["checkpoint"]) if cfg["checkpoint"] else None
     if ckpt_path is not None and not ckpt_path.is_file():
         raise ConfigError(f"config key 'checkpoint': no file {ckpt_path}")

@@ -63,8 +63,13 @@ def parse_typed(key: str, text: str, default: Any) -> Any:
 
 def parse_config_file(path: str) -> Dict[str, str]:
     """Raw ``key -> value text`` pairs; values are typed by resolve_config."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file {path} "
+                          f"({type(exc).__name__}: {exc})")
     out: Dict[str, str] = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

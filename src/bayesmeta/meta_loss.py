@@ -32,6 +32,8 @@ class MetaLossSpec:
             raise ValueError(f"unknown meta-loss kind {self.kind!r}")
         if (self.kl_weight == 0.0) != (self.kind == VAL_NLL_ONLY):
             raise ValueError("kl_weight must be 0 iff kind is val_nll_only")
+        if self.mc_budget < 1:
+            raise ValueError("mc_budget must be >= 1")
 
 
 @dataclass

@@ -403,6 +403,21 @@ class TestConfig:
           for item in ("noise_sigma=0", "n_val=0", "n_tr=8")],
         ("train", ["meta_lr=-1"], "meta_lr"),
         ("train", ["method=imaml_mode", "imaml_lambda=-1"], "imaml_lambda"),
+        # each command's key -> field tables
+        ("train", ["iterations=0"], "iterations"),
+        ("train", ["cg_rel_tol=-1"], "cg_rel_tol"),
+        ("train", ["cond_kappa=0.5"], "cond_kappa"),
+        ("train", ["mc_budget=0"], "mc_budget"),
+        *[("train", ["dataset=blob", item], item.partition("=")[0])
+          for item in ("n_classes=0", "shots_tr=-1")],
+        ("bench", ["cg_iters=0"], "cg_iters"),
+        ("bench", ["inner_lr=0"], "inner_lr"),
+        ("nrmse-sweep", ["inner_lr=0"], "inner_lr"),
+        ("nrmse-sweep", ["cg_rel_tol=-1"], "cg_rel_tol"),
+        ("calibration", ["inner_steps=-1"], "inner_steps"),
+        # past the dense oracle's cap; a meta-loss with no MC sample
+        ("nrmse-sweep", ["dim=65", "n_tr=65"], "dim"),
+        ("nrmse-sweep", ["mc_budget=0"], "mc_budget"),
     ])
     def test_out_of_range_value_exits_2_naming_key(self, tmp_path, capsys,
                                                    command, items, named):
@@ -417,6 +432,22 @@ class TestConfig:
         assert f"config key '{named}'" in err
         assert "Traceback" not in err
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("name, write", [
+        ("missing.cfg", lambda path: None),
+        ("a_directory", lambda path: path.mkdir()),
+        ("latin1.cfg", lambda path: path.write_bytes(b"dim = 8 # \xe9\n")),
+    ], ids=["missing", "directory", "not_utf8"])
+    def test_unreadable_config_file_exits_2(self, tmp_path, capsys, name,
+                                            write):
+        path = tmp_path / name
+        write(path)
+        out = tmp_path / "out"
+        assert main(["train", "--out", str(out), "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert str(path) in err
+        assert "Traceback" not in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["bench", "train", "calibration",
                                          "verify"])
